@@ -172,3 +172,64 @@ func BenchmarkAblations(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkCheckedRun isolates the per-retire cost of the three ways a
+// board runs one MNIST-sized inference: plain Run (fastest tier),
+// RunProfiled (traced, per-PC histogram), and certificate-checked Run.
+// Per encoding it reports host MIPS and ns per retired instruction, so
+// a change to the traced or checked retire path can be read off here
+// without the full benchmark.
+func BenchmarkCheckedRun(b *testing.B) {
+	r := rng.New(3)
+	m := &quant.Model{InputScale: 127, Layers: []*quant.Layer{
+		benchLayer(r, 784, 128, 0.1),
+		benchLayer(r, 128, 48, 0.2),
+		benchLayer(r, 48, 10, 0.3),
+	}}
+	m.Layers[2].ReLU = false
+	in := make([]int8, 784)
+	for i := range in {
+		in[i] = int8(r.Intn(255) - 127)
+	}
+	encs := []struct {
+		name string
+		enc  modelimg.EncodingChoice
+	}{{"block", modelimg.UseBlock}, {"csc", modelimg.UseCSC}, {"unrolled", modelimg.UseUnrolled}}
+	for _, e := range encs {
+		img, err := modelimg.Build(m, e.enc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		fi, err := device.NewFlashImage(img)
+		if err != nil {
+			b.Fatal(err)
+		}
+		modes := []struct {
+			name    string
+			checked bool
+			run     func(d *device.Device) (*device.Result, error)
+		}{
+			{"run", false, func(d *device.Device) (*device.Result, error) { return d.Run(in) }},
+			{"profiled", false, func(d *device.Device) (*device.Result, error) { return d.RunProfiled(in) }},
+			{"checked", true, func(d *device.Device) (*device.Result, error) { return d.Run(in) }},
+		}
+		for _, md := range modes {
+			b.Run(e.name+"/"+md.name, func(b *testing.B) {
+				board := fi.NewBoard()
+				board.Checked = md.checked
+				var instr uint64
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					res, err := md.run(board)
+					if err != nil {
+						b.Fatal(err)
+					}
+					instr += res.Instructions
+				}
+				sec := b.Elapsed().Seconds()
+				b.ReportMetric(float64(instr)/1e6/sec, "MIPS")
+				b.ReportMetric(sec*1e9/float64(instr), "ns/instr")
+			})
+		}
+	}
+}

@@ -229,11 +229,12 @@ func main() {
 	var trace *armv6m.Trace
 	if profiling || *checked {
 		trace = cpu.EnableTrace()
+		if !profiling {
+			trace.PCs = nil // checked only: no per-PC profile to keep
+		}
 	}
-	// The -trace print hook is installed BEFORE the checker attaches:
-	// Checker.Attach chains the existing hook, so both fire. (Assigning
-	// trace.OnInstr after Attach used to overwrite the checker's hook,
-	// silently disabling -checked whenever -trace was also given.)
+	// The -trace print hook owns trace.OnInstr; the checker attaches as
+	// the trace's Observer, so both fire on every retire.
 	if *traceN > 0 {
 		var printed uint64
 		trace.OnInstr = func(ii armv6m.InstrInfo) {

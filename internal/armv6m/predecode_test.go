@@ -1,6 +1,7 @@
 package armv6m_test
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/neuro-c/neuroc/internal/armv6m"
@@ -152,14 +153,13 @@ func TestPredecodeParityTrace(t *testing.T) {
 	if tf.SPMin != tl.SPMin {
 		t.Errorf("SPMin 0x%08x vs 0x%08x", tf.SPMin, tl.SPMin)
 	}
-	if len(tf.PCs) != len(tl.PCs) {
-		t.Fatalf("PC histogram sizes %d vs %d", len(tf.PCs), len(tl.PCs))
+	hist := func(tr *armv6m.Trace) map[uint32]armv6m.PCSample {
+		m := make(map[uint32]armv6m.PCSample)
+		tr.PCs.Each(func(pc uint32, s armv6m.PCSample) { m[pc] = s })
+		return m
 	}
-	for pc, s := range tf.PCs {
-		ls := tl.PCs[pc]
-		if ls == nil || *s != *ls {
-			t.Errorf("PC 0x%08x: %+v vs %+v", pc, s, ls)
-		}
+	if hf, hl := hist(tf), hist(tl); !reflect.DeepEqual(hf, hl) {
+		t.Errorf("PC histograms diverged: %v vs %v", hf, hl)
 	}
 }
 

@@ -122,9 +122,7 @@ func TestWFITraceInvariant(t *testing.T) {
 	}
 	// The per-PC histogram holds active cycles only.
 	var pcCycles uint64
-	for _, s := range tr.PCs {
-		pcCycles += s.Cycles
-	}
+	tr.PCs.Each(func(_ uint32, s armv6m.PCSample) { pcCycles += s.Cycles })
 	if pcCycles+tr.SleepCycles+tr.ExceptionEntryCycles != cpu.Cycles {
 		t.Errorf("PC cycles %d + sleep %d + entries %d != CPU.Cycles %d",
 			pcCycles, tr.SleepCycles, tr.ExceptionEntryCycles, cpu.Cycles)

@@ -1,5 +1,10 @@
 package armv6m
 
+import (
+	"slices"
+	"sort"
+)
+
 // Tracing support: an opt-in, zero-overhead-when-disabled observation
 // hook on CPU.Step. When CPU.Trace is nil (the default) the only cost
 // per retired instruction is one nil check; when set, every retired
@@ -100,9 +105,11 @@ type Trace struct {
 	SRAMWrites      uint64
 	FlashWaitCycles uint64
 
-	// PCs is the cycle/instruction histogram keyed by instruction
-	// address.
-	PCs map[uint32]*PCSample
+	// PCs is the cycle/instruction histogram by instruction address.
+	// NewTrace allocates it; a trace with a nil PCs keeps every other
+	// counter but skips per-PC attribution (checked execution runs on
+	// such a trace when its caller asked for no profile).
+	PCs *PCHistogram
 
 	// SPMin is the lowest stack-pointer value observed after any retired
 	// instruction (including exception stacking, which lowers SP before
@@ -113,11 +120,28 @@ type Trace struct {
 	// OnInstr, when set, streams every retired instruction. It runs
 	// after the counters above are updated.
 	OnInstr func(InstrInfo)
+
+	// Observer, when set, receives every retire after OnInstr, as a
+	// pointer to the trace's own record of it: valid only for the
+	// duration of the call and not to be modified. Checked execution
+	// (internal/cert) installs its checker here, so a caller's OnInstr
+	// is neither replaced nor wrapped, and the 72-byte record is not
+	// copied per retire.
+	Observer Observer
+
+	info InstrInfo // the record handed to Observer
 }
 
-// NewTrace returns an empty trace ready to attach to a CPU.
+// Observer consumes retired instructions by pointer; see
+// Trace.Observer.
+type Observer interface {
+	Retire(ii *InstrInfo)
+}
+
+// NewTrace returns an empty trace, per-PC histogram included, ready to
+// attach to a CPU.
 func NewTrace() *Trace {
-	return &Trace{PCs: make(map[uint32]*PCSample), SPMin: ^uint32(0)}
+	return &Trace{PCs: &PCHistogram{}, SPMin: ^uint32(0)}
 }
 
 // StackPeak is the deepest stack usage observed, in bytes below
@@ -202,19 +226,101 @@ func (t *Trace) record(c *CPU, addr, op uint32, cycles uint64, fr, sr, sw, sleep
 	t.SRAMReads += sramR
 	t.SRAMWrites += sramW
 	t.FlashWaitCycles += flash * uint64(c.Bus.FlashWaitStates)
-	s := t.PCs[addr]
-	if s == nil {
-		s = &PCSample{}
-		t.PCs[addr] = s
+	if t.PCs != nil {
+		t.PCs.Add(addr, 1, cycles-sleep)
 	}
-	s.Count++
-	s.Cycles += cycles - sleep
+	if t.OnInstr == nil && t.Observer == nil {
+		return
+	}
+	// Field by field: a composite literal would be built on the stack
+	// and copied, twice the stores on the hottest traced line.
+	ii := &t.info
+	ii.Addr, ii.Op, ii.Class = addr, uint16(op), cl
+	ii.Cycles, ii.Sleep, ii.Taken = cycles, sleep, taken
+	ii.FlashReads, ii.SRAMReads, ii.SRAMWrites = flash, sramR, sramW
 	if t.OnInstr != nil {
-		t.OnInstr(InstrInfo{
-			Addr: addr, Op: uint16(op), Class: cl,
-			Cycles: cycles, Sleep: sleep, Taken: taken,
-			FlashReads: flash, SRAMReads: sramR, SRAMWrites: sramW,
-		})
+		t.OnInstr(*ii)
+	}
+	if t.Observer != nil {
+		t.Observer.Retire(ii)
+	}
+}
+
+// pcPageShift sizes a histogram page: 1 KiB of code, 512 halfword
+// slots. Pages are allocated on first retire, so a run pays for the
+// code it executes, not for the whole flash.
+const (
+	pcPageShift = 10
+	pcPageSlots = 1 << (pcPageShift - 1)
+)
+
+type pcPage [pcPageSlots]PCSample
+
+// pcPageAt is a histogram page outside flash.
+type pcPageAt struct {
+	base uint32
+	page *pcPage
+}
+
+// PCHistogram is the per-address cycle/instruction histogram of a
+// trace: dense over flash, indexed by halfword offset (no hashing per
+// retire), with a sorted side list for the rare page outside flash
+// (code executing from SRAM). Addresses are instruction addresses, so
+// always halfword aligned.
+type PCHistogram struct {
+	flash [FlashSize >> pcPageShift]*pcPage
+	other []pcPageAt // sorted by base
+}
+
+// Add attributes count retires and cycles active cycles to addr.
+func (h *PCHistogram) Add(addr uint32, count, cycles uint64) {
+	var p *pcPage
+	if off := addr - FlashBase; off < FlashSize {
+		if p = h.flash[off>>pcPageShift]; p == nil {
+			p = new(pcPage)
+			h.flash[off>>pcPageShift] = p
+		}
+	} else {
+		p = h.otherPage(addr &^ (1<<pcPageShift - 1))
+	}
+	s := &p[addr>>1&(pcPageSlots-1)]
+	s.Count += count
+	s.Cycles += cycles
+}
+
+func (h *PCHistogram) otherPage(base uint32) *pcPage {
+	i := sort.Search(len(h.other), func(i int) bool { return h.other[i].base >= base })
+	if i < len(h.other) && h.other[i].base == base {
+		return h.other[i].page
+	}
+	h.other = slices.Insert(h.other, i, pcPageAt{base: base, page: new(pcPage)})
+	return h.other[i].page
+}
+
+// Each calls fn for every address with a nonzero count, in ascending
+// address order; a nil histogram (a trace that keeps none) has none.
+func (h *PCHistogram) Each(fn func(addr uint32, s PCSample)) {
+	if h == nil {
+		return
+	}
+	visit := func(base uint32, p *pcPage) {
+		for i := range p {
+			if p[i].Count != 0 {
+				fn(base+uint32(i)<<1, p[i])
+			}
+		}
+	}
+	i := 0
+	for ; i < len(h.other) && h.other[i].base < FlashBase; i++ {
+		visit(h.other[i].base, h.other[i].page)
+	}
+	for pi, p := range h.flash {
+		if p != nil {
+			visit(FlashBase+uint32(pi)<<pcPageShift, p)
+		}
+	}
+	for ; i < len(h.other); i++ {
+		visit(h.other[i].base, h.other[i].page)
 	}
 }
 

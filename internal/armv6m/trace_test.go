@@ -92,10 +92,10 @@ func TestTraceAttributionSums(t *testing.T) {
 				t.Errorf("%s ws=%d: class instrs sum %d, CPU.Instructions %d", k.name, ws, got, want)
 			}
 			var pcCycles, pcCount uint64
-			for _, s := range tr.PCs {
+			tr.PCs.Each(func(_ uint32, s armv6m.PCSample) {
 				pcCycles += s.Cycles
 				pcCount += s.Count
-			}
+			})
 			if got, want := pcCycles+tr.ExceptionEntryCycles, cpu.Cycles; got != want {
 				t.Errorf("%s ws=%d: PC histogram cycles %d, CPU.Cycles %d", k.name, ws, got, want)
 			}

@@ -411,6 +411,128 @@ func TestCheckerRejectsTamperedCert(t *testing.T) {
 	}
 }
 
+// TestCheckedTamperedCertCompiledOnce runs every tampered certificate
+// of TestCheckerRejectsTamperedCert twice through ONE compiled table:
+// both runs, and a one-off NewChecker run, must report the identical
+// *CheckError (kind, function, block, address, detail), so a run can
+// neither leave state in the shared table nor depend on a predecessor.
+func TestCheckedTamperedCertCompiledOnce(t *testing.T) {
+	v := kernels.Variants()[0]
+	prog, pristine := certifyHarness(t, v.Harness)
+	run := func(newChecker func(*armv6m.CPU) (*cert.Checker, error)) *cert.CheckError {
+		cpu := bootHarness(t, prog, 1, false)
+		chk, err := newChecker(cpu)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chk.Attach(cpu.EnableTrace())
+		if err := cpu.Run(3_000_000); err != nil && chk.Err() == nil {
+			t.Fatalf("run failed without a checker error: %v", err)
+		}
+		err = chk.Finish()
+		ce, ok := err.(*cert.CheckError)
+		if !ok {
+			t.Fatalf("want *cert.CheckError, got %T: %v", err, err)
+		}
+		return ce
+	}
+	// The same four tampers as TestCheckerRejectsTamperedCert.
+	tampers := []struct {
+		name   string
+		mutate func(c *cert.Certificate)
+	}{
+		{"block-cost", func(c *cert.Certificate) {
+			b := hottestBlock(c)
+			b.Cost.Base++
+			b.Instrs[0].Cost.Base++
+		}},
+		{"instr-cost", func(c *cert.Certificate) { hottestBlock(c).Instrs[0].Cost.WS++ }},
+		{"memory-class", func(c *cert.Certificate) {
+			for _, f := range c.Funcs {
+				for i := range f.Blocks {
+					for j := range f.Blocks[i].Instrs {
+						if in := &f.Blocks[i].Instrs[j]; in.Mem == cert.ClassSRAM && !in.Store {
+							in.SRAMReads++
+							return
+						}
+					}
+				}
+			}
+			t.Fatal("no SRAM load to tamper with")
+		}},
+		{"loop-bound", func(c *cert.Certificate) {
+			for fi := range c.Funcs {
+				if len(c.Funcs[fi].Loops) > 0 {
+					c.Funcs[fi].Loops[0].Bound = 1
+					return
+				}
+			}
+			t.Skip("variant has no loops")
+		}},
+	}
+	for _, tm := range tampers {
+		tm := tm
+		t.Run(tm.name, func(t *testing.T) {
+			data, err := pristine.JSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := cert.Parse(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tm.mutate(c)
+			compiled, err := cert.Compile(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			first := run(compiled.NewChecker)
+			second := run(compiled.NewChecker)
+			oneOff := run(func(cpu *armv6m.CPU) (*cert.Checker, error) { return cert.NewChecker(c, cpu) })
+			if *first != *second || *first != *oneOff {
+				t.Fatalf("one compiled table, different verdicts:\nfirst:   %v\nsecond:  %v\none-off: %v", first, second, oneOff)
+			}
+		})
+	}
+}
+
+// TestCheckedTwoCheckersOneTrace attaches two checkers from one
+// compiled table to one trace: both see every retire and certify the
+// same cycles, and detaching the second restores the first as the
+// trace's Observer.
+func TestCheckedTwoCheckersOneTrace(t *testing.T) {
+	prog, c := certifyHarness(t, kernels.Variants()[0].Harness)
+	compiled, err := cert.Compile(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpu := bootHarness(t, prog, 1, false)
+	trace := cpu.EnableTrace()
+	var chks [2]*cert.Checker
+	var detach func()
+	for i := range chks {
+		if chks[i], err = compiled.NewChecker(cpu); err != nil {
+			t.Fatal(err)
+		}
+		detach = chks[i].Attach(trace)
+	}
+	if err := cpu.Run(3_000_000); err != nil {
+		t.Fatal(err)
+	}
+	for i, chk := range chks {
+		if err := chk.Finish(); err != nil {
+			t.Fatalf("checker %d: %v", i, err)
+		}
+		if chk.CertifiedCycles() != cpu.Cycles {
+			t.Fatalf("checker %d certified %d cycles, core measured %d", i, chk.CertifiedCycles(), cpu.Cycles)
+		}
+	}
+	detach()
+	if trace.Observer != chks[0] {
+		t.Fatalf("detach left Observer %T, want the first checker", trace.Observer)
+	}
+}
+
 // hottestBlock returns a pointer to the entry function's first block
 // (always executed).
 func hottestBlock(c *cert.Certificate) *cert.Block {

@@ -2,13 +2,14 @@ package cert
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/neuro-c/neuroc/internal/armv6m"
 )
 
 // Checked execution: a Checker observes every retired instruction
-// through the trace hook (armv6m.Trace.OnInstr) and asserts that the
-// execution matches the certificate fact for fact:
+// through the trace's Observer hook (armv6m.Trace.Observer) and asserts
+// that the execution matches the certificate fact for fact:
 //
 //   - every retired PC is certified, and every control transfer lands
 //     on a certified edge (fall-through, branch target, call entry,
@@ -70,52 +71,49 @@ func (e *CheckError) Error() string {
 	return fmt.Sprintf("cert: %s mismatch%s: %s", e.Kind, loc, e.Detail)
 }
 
-// rblock/rfunc/rloop are the certificate compiled for O(1) retire-time
-// lookup.
-type rloop struct {
-	header  uint32
-	bound   uint64
-	members map[uint32]bool
+// expectation is the set of certified addresses the next retire may
+// land on: after the first retire at most one address, before it the
+// certificate's roots.
+type expectation struct {
+	addr uint32
+	kind uint8
 }
 
-type rfunc struct {
-	f     *Func
-	loops []rloop
-}
-
-type ifact struct {
-	in  *Instr
-	blk *Block
-	fn  *rfunc
-}
+const (
+	expNone  = iota // the certified halt retired: nothing may follow
+	expOne          // exactly addr
+	expRoots        // any certified root (the run has not started)
+)
 
 // frame is one function invocation (or one active exception).
 type frame struct {
-	fn    *rfunc
-	exc   bool     // exception frame: resume restores the interrupted expectation
-	retTo uint32   // caller resume address for call frames
-	saved []uint32 // interrupted expectation for exception frames
-
-	cur       *Block // open block occurrence, nil before the first retire
-	acc       uint64 // active cycles accumulated in the open occurrence
-	skip      bool   // occurrence exempt from the cycle check
-	prevBlock uint32 // previously closed block in this frame (loop accounting)
-	trips     map[uint32]uint64
+	fn    int32
+	cur   int32       // open block occurrence, -1 between blocks
+	prev  int32       // previously closed block in this frame (loop accounting), -1 none
+	trips int32       // offset of this frame's loop trip counters in Checker.trips
+	exc   bool        // exception frame: resume restores the interrupted expectation
+	skip  bool        // open occurrence exempt from the cycle check
+	retTo uint32      // caller resume address for call frames
+	saved expectation // interrupted expectation for exception frames
+	acc   uint64      // active cycles accumulated in the open occurrence
 }
 
-// Checker validates a run against a certificate. Create with
-// NewChecker, attach with Attach before CPU.Run, and call Finish after
-// the run; Err reports the first mismatch at any point.
+// Checker validates one run against a compiled certificate. Create it
+// with Compiled.NewChecker (or NewChecker for a one-off run), attach it
+// with Attach before CPU.Run, and call Finish after the run; Err
+// reports the first mismatch at any point.
+//
+// Retire contract: a retire reads one inline slot of the shared table,
+// updates dense per-run counters, and allocates nothing; map lookups,
+// certificate pointers and formatting happen only on the cold paths
+// (first retire, exception entry, mismatch).
 type Checker struct {
-	cert  *Certificate
+	p     *Compiled
 	cpu   *armv6m.CPU
 	trace *armv6m.Trace
 	ws    uint64
 
-	base  uint32
-	facts []ifact // dense, indexed by (addr-base)/2; zero in == uncertified
-
-	expect []uint32 // certified addresses the next retire may land on
+	exp    expectation
 	frames []frame
 	done   bool
 
@@ -123,331 +121,354 @@ type Checker struct {
 
 	// Accounting for the whole-run identity and for tests that
 	// recompute block-formula sums independently.
-	certSum     uint64 // Σ certified occurrence costs over checked occurrences
-	skippedAct  uint64 // Σ observed active cycles over exempted occurrences
-	blockExecs  map[uint32]uint64
-	takenExits  map[uint32]uint64
-	isrByAddr   map[uint32]*rfunc
-	funcsByAddr map[uint32]*rfunc
+	certSum    uint64   // Σ certified occurrence costs over checked occurrences
+	skippedAct uint64   // Σ observed active cycles over exempted occurrences
+	execs      []uint64 // occurrences per block ordinal
+	takens     []uint64 // taken-edge exits per block ordinal
+	trips      []uint64 // loop trip counters, a stack of per-frame windows
+
+	frameBuf [4]frame
 }
 
-// NewChecker compiles the certificate against the core's configuration
-// (profile, multiplier, wait states). The returned checker is single-
-// use: one run, then Finish.
+// NewChecker compiles the certificate and returns a checker for one
+// run on cpu. Harnesses that run an image many times compile it once
+// (Compile) and call Compiled.NewChecker per run instead.
 func NewChecker(c *Certificate, cpu *armv6m.CPU) (*Checker, error) {
 	if err := c.CompatibleWith(cpu); err != nil {
 		return nil, err
 	}
-	if c.CodeLimit <= c.CodeBase {
-		return nil, fmt.Errorf("cert: empty code range [0x%08x, 0x%08x)", c.CodeBase, c.CodeLimit)
+	p, err := Compile(c)
+	if err != nil {
+		return nil, err
 	}
+	return p.NewChecker(cpu)
+}
+
+// NewChecker returns a checker for one run on cpu, validated against
+// the core's configuration (profile, multiplier, wait states). It
+// allocates only per-run state: the checker and one slab of dense
+// counters.
+func (p *Compiled) NewChecker(cpu *armv6m.CPU) (*Checker, error) {
+	if err := p.cert.CompatibleWith(cpu); err != nil {
+		return nil, err
+	}
+	nb := len(p.blocks)
+	slab := make([]uint64, 2*nb+p.tripSlots)
 	k := &Checker{
-		cert:        c,
-		cpu:         cpu,
-		ws:          uint64(cpu.Bus.FlashWaitStates),
-		base:        c.CodeBase,
-		facts:       make([]ifact, (c.CodeLimit-c.CodeBase+1)/2),
-		blockExecs:  make(map[uint32]uint64),
-		takenExits:  make(map[uint32]uint64),
-		isrByAddr:   make(map[uint32]*rfunc),
-		funcsByAddr: make(map[uint32]*rfunc),
+		p:      p,
+		cpu:    cpu,
+		ws:     uint64(cpu.Bus.FlashWaitStates),
+		exp:    expectation{kind: expRoots},
+		execs:  slab[:nb:nb],
+		takens: slab[nb : 2*nb : 2*nb],
+		trips:  slab[2*nb : 2*nb],
 	}
-	for fi := range c.Funcs {
-		f := &c.Funcs[fi]
-		rf := &rfunc{f: f}
-		for _, l := range f.Loops {
-			rl := rloop{header: l.Header, bound: l.Bound, members: make(map[uint32]bool, len(l.Blocks))}
-			for _, b := range l.Blocks {
-				rl.members[b] = true
-			}
-			rf.loops = append(rf.loops, rl)
-		}
-		k.funcsByAddr[f.Addr] = rf
-		for bi := range f.Blocks {
-			blk := &f.Blocks[bi]
-			for ii := range blk.Instrs {
-				in := &blk.Instrs[ii]
-				idx, ok := k.index(in.Addr)
-				if !ok {
-					return nil, fmt.Errorf("cert: instruction 0x%08x outside code range", in.Addr)
-				}
-				if k.facts[idx].in != nil {
-					return nil, fmt.Errorf("cert: overlapping facts at 0x%08x", in.Addr)
-				}
-				k.facts[idx] = ifact{in: in, blk: blk, fn: rf}
-			}
-		}
-	}
-	for _, a := range c.ISRRoots {
-		rf := k.funcsByAddr[a]
-		if rf == nil {
-			return nil, fmt.Errorf("cert: ISR root 0x%08x has no certified function", a)
-		}
-		k.isrByAddr[a] = rf
-	}
-	k.expect = append([]uint32(nil), c.Roots...)
+	k.frames = k.frameBuf[:0]
 	return k, nil
 }
 
-func (k *Checker) index(addr uint32) (int, bool) {
-	if addr < k.base || addr >= k.cert.CodeLimit || addr&1 != 0 {
-		return 0, false
-	}
-	return int(addr-k.base) / 2, true
-}
-
-// Attach binds the checker to a trace, chaining any hook already set:
-// the caller's hook still fires first, on every event, and sees them
-// unmodified. The returned detach restores the trace's previous hook,
-// so a caller-supplied trace comes back exactly as it went in once the
-// checked run is over.
+// Attach binds the checker to a trace as its Observer. A caller's
+// OnInstr hook stays in place and fires first on every retire, seeing
+// the events unmodified; an Observer already installed keeps running,
+// ahead of the checker. The returned detach restores the trace's
+// previous Observer, so a caller-supplied trace comes back exactly as
+// it went in once the checked run is over.
 func (k *Checker) Attach(t *armv6m.Trace) (detach func()) {
 	k.trace = t
-	prev := t.OnInstr
-	t.OnInstr = func(ii armv6m.InstrInfo) {
-		if prev != nil {
-			prev(ii)
-		}
-		k.OnInstr(ii)
+	prev := t.Observer
+	if prev == nil {
+		t.Observer = k
+	} else {
+		t.Observer = observers{prev, k}
 	}
-	return func() { t.OnInstr = prev }
+	return func() { t.Observer = prev }
+}
+
+// observers runs two observers in order.
+type observers struct{ first, then armv6m.Observer }
+
+func (o observers) Retire(ii *armv6m.InstrInfo) {
+	o.first.Retire(ii)
+	o.then.Retire(ii)
 }
 
 // Err returns the first mismatch observed so far, or nil.
 func (k *Checker) Err() error { return k.err }
 
-func (k *Checker) fail(kind MismatchKind, f *rfunc, block, addr uint32, format string, args ...interface{}) {
+func (k *Checker) fail(kind MismatchKind, fn int32, block, addr uint32, format string, args ...interface{}) {
 	if k.err != nil {
 		return
 	}
 	name := ""
-	if f != nil {
-		name = f.f.Name
+	if fn >= 0 {
+		name = k.p.funcs[fn].name
 	}
 	k.err = &CheckError{Kind: kind, Func: name, Block: block, Addr: addr, Detail: fmt.Sprintf(format, args...)}
 }
 
+// expected reports whether addr is on the current expectation.
 func (k *Checker) expected(addr uint32) bool {
-	for _, a := range k.expect {
-		if a == addr {
-			return true
+	switch k.exp.kind {
+	case expOne:
+		return k.exp.addr == addr
+	case expRoots:
+		for _, a := range k.p.roots {
+			if a == addr {
+				return true
+			}
 		}
 	}
 	return false
 }
 
-// OnInstr processes one retired instruction. It is the Trace.OnInstr
+func (k *Checker) fmtExpected() string {
+	switch k.exp.kind {
+	case expOne:
+		return fmtAddrs([]uint32{k.exp.addr})
+	case expRoots:
+		return fmtAddrs(k.p.roots)
+	}
+	return fmtAddrs(nil)
+}
+
+// push opens frame f, giving it zeroed loop trip counters for its
+// function on top of the trip stack.
+func (k *Checker) push(f frame) {
+	n, nc := len(k.trips), int(k.p.funcs[f.fn].counters)
+	f.trips = int32(n)
+	f.cur, f.prev = -1, -1
+	k.trips = slices.Grow(k.trips, nc)[:n+nc]
+	clear(k.trips[n:])
+	k.frames = append(k.frames, f)
+}
+
+// pop closes the top frame and returns it.
+func (k *Checker) pop() frame {
+	top := k.frames[len(k.frames)-1]
+	k.frames = k.frames[:len(k.frames)-1]
+	k.trips = k.trips[:top.trips]
+	return top
+}
+
+// Retire processes one retired instruction. It is the Trace.Observer
 // hook; Attach installs it.
-func (k *Checker) OnInstr(ii armv6m.InstrInfo) {
+func (k *Checker) Retire(ii *armv6m.InstrInfo) {
 	if k.err != nil {
 		return
 	}
-	idx, ok := k.index(ii.Addr)
-	var fact *ifact
-	if ok && k.facts[idx].in != nil {
-		fact = &k.facts[idx]
-	}
-	if fact == nil {
-		k.fail(MismatchUncertified, nil, 0, ii.Addr, "retired PC has no certificate fact")
+	off := ii.Addr - k.p.base
+	if off >= k.p.span || ii.Addr&1 != 0 || k.p.slots[off>>1].blk < 0 {
+		k.fail(MismatchUncertified, -1, 0, ii.Addr, "retired PC has no certificate fact")
 		return
 	}
+	s := &k.p.slots[off>>1]
 	if k.done {
-		k.fail(MismatchEdge, fact.fn, fact.blk.Start, ii.Addr, "instruction retired after the certified halt")
+		k.fail(MismatchEdge, s.fn, k.p.blocks[s.blk].start, ii.Addr, "instruction retired after the certified halt")
 		return
 	}
 
 	// Control transfer: the retire must land on a certified edge. The
 	// one legal exception is a hardware exception entry, which may
 	// preempt any boundary and vectors to a certified ISR root.
-	if !k.expected(ii.Addr) {
-		isr := k.isrByAddr[ii.Addr]
-		if isr == nil || k.inException() {
-			k.fail(MismatchEdge, fact.fn, fact.blk.Start, ii.Addr,
-				"control transfer to 0x%08x is not a certified edge (expected %s)", ii.Addr, fmtAddrs(k.expect))
+	if k.exp.kind != expOne || k.exp.addr != ii.Addr {
+		if !k.enter(s, ii.Addr) {
 			return
 		}
-		// Exception entry: suspend the interrupted continuation.
-		k.frames = append(k.frames, frame{fn: isr, exc: true, saved: append([]uint32(nil), k.expect...)})
-	}
-	if len(k.frames) == 0 {
-		// First retire of the run: open the root frame.
-		rf := k.funcsByAddr[ii.Addr]
-		if rf == nil {
-			k.fail(MismatchEdge, fact.fn, fact.blk.Start, ii.Addr, "run does not start at a certified root")
-			return
-		}
-		k.frames = append(k.frames, frame{fn: rf})
 	}
 	top := &k.frames[len(k.frames)-1]
-	if fact.fn != top.fn {
-		k.fail(MismatchEdge, fact.fn, fact.blk.Start, ii.Addr,
-			"instruction belongs to %s but the active frame is %s", fact.fn.f.Name, top.fn.f.Name)
+	if s.fn != top.fn {
+		k.fail(MismatchEdge, s.fn, k.p.blocks[s.blk].start, ii.Addr,
+			"instruction belongs to %s but the active frame is %s", k.p.funcs[s.fn].name, k.p.funcs[top.fn].name)
 		return
 	}
 
-	in := fact.in
-	excReturn := top.exc && in.Ret // unstacking costs are outside the model
-	skipInstr := excReturn || !in.Exact
-
 	// Block occurrence accounting.
-	if top.cur == nil || top.cur != fact.blk {
-		if top.cur != nil {
+	if top.cur != s.blk {
+		if top.cur >= 0 {
 			// A block can only be left through its terminator; any open
 			// occurrence at a block switch means the previous close was
 			// missed, which the edge check above already precludes.
-			k.fail(MismatchEdge, fact.fn, top.cur.Start, ii.Addr, "block occurrence left open across a block switch")
+			k.fail(MismatchEdge, s.fn, k.p.blocks[top.cur].start, ii.Addr, "block occurrence left open across a block switch")
 			return
 		}
-		if ii.Addr != fact.blk.Start {
-			k.fail(MismatchEdge, fact.fn, fact.blk.Start, ii.Addr, "control enters a block off its start")
+		if ii.Addr != k.p.blocks[s.blk].start {
+			k.fail(MismatchEdge, s.fn, k.p.blocks[s.blk].start, ii.Addr, "control enters a block off its start")
 			return
 		}
-		k.openBlock(top, fact)
-		if k.err != nil {
+		if !k.openBlock(top, s.blk) {
 			return
 		}
 	}
 
 	active := ii.Cycles - ii.Sleep
 	top.acc += active
-	if skipInstr {
+	// Unstacking costs of an exception return are outside the model.
+	if s.flags&fExact == 0 || top.exc && s.flags&fRet != 0 {
 		top.skip = true
 	} else {
 		// Per-instruction cycle formula (conditional branches add the
 		// taken extra on the taken edge).
-		want := in.Cost.Eval(k.ws)
+		want := uint64(s.cost) + uint64(s.costWS)*k.ws
 		if ii.Taken {
-			want += in.TakenExtra
+			want += uint64(s.taken)
 		}
 		if active != want {
-			k.fail(MismatchInstrCycles, fact.fn, fact.blk.Start, ii.Addr,
+			k.fail(MismatchInstrCycles, s.fn, k.p.blocks[s.blk].start, ii.Addr,
 				"%d active cycles, certified %d (= %d + %d*ws, ws=%d, taken=%v)",
-				active, want, in.Cost.Base, in.Cost.WS, k.ws, ii.Taken)
+				active, want, s.cost, s.costWS, k.ws, ii.Taken)
 			return
 		}
 		// Memory classification via exact bus-counter deltas.
-		if ii.FlashReads != in.FlashReads || ii.SRAMReads != in.SRAMReads || ii.SRAMWrites != in.SRAMWrites {
-			k.fail(MismatchMemory, fact.fn, fact.blk.Start, ii.Addr,
+		if ii.FlashReads != uint64(s.flash) || ii.SRAMReads != uint64(s.sramR) || ii.SRAMWrites != uint64(s.sramW) {
+			k.fail(MismatchMemory, s.fn, k.p.blocks[s.blk].start, ii.Addr,
 				"bus deltas flash=%d sramR=%d sramW=%d, certified flash=%d sramR=%d sramW=%d (class %q)",
-				ii.FlashReads, ii.SRAMReads, ii.SRAMWrites, in.FlashReads, in.SRAMReads, in.SRAMWrites, in.Mem)
+				ii.FlashReads, ii.SRAMReads, ii.SRAMWrites, s.flash, s.sramR, s.sramW, k.p.instr(s, ii.Addr).Mem)
 			return
 		}
 	}
 
 	// Compute the certified continuation and close/push/pop as the
 	// instruction demands.
-	next := ii.Addr + uint32(in.Size)
+	next := ii.Addr + uint32(s.size)
 	switch {
-	case in.Halt:
-		k.closeBlock(top, fact, ii.Taken)
+	case s.flags&fHalt != 0:
+		k.closeBlock(top, s, ii.Taken)
 		k.done = true
-		k.expect = nil
-	case in.Ret:
-		k.closeBlock(top, fact, ii.Taken)
-		if k.err != nil {
+		k.exp = expectation{kind: expNone}
+	case s.flags&fRet != 0:
+		if !k.closeBlock(top, s, ii.Taken) {
 			return
 		}
 		if len(k.frames) == 1 {
-			k.fail(MismatchEdge, fact.fn, fact.blk.Start, ii.Addr, "return from the root frame")
+			k.fail(MismatchEdge, s.fn, k.p.blocks[s.blk].start, ii.Addr, "return from the root frame")
 			return
 		}
-		popped := k.frames[len(k.frames)-1]
-		k.frames = k.frames[:len(k.frames)-1]
-		if popped.exc {
-			k.expect = popped.saved
+		if popped := k.pop(); popped.exc {
+			k.exp = popped.saved
 		} else {
-			k.expect = []uint32{popped.retTo}
+			k.exp = expectation{addr: popped.retTo, kind: expOne}
 		}
-	case in.Call != 0:
-		callee := k.funcsByAddr[in.Call]
-		if callee == nil {
-			k.fail(MismatchEdge, fact.fn, fact.blk.Start, ii.Addr, "call to uncertified function 0x%08x", in.Call)
+	case s.flags&fCall != 0:
+		if s.callee < 0 {
+			k.fail(MismatchEdge, s.fn, k.p.blocks[s.blk].start, ii.Addr, "call to uncertified function 0x%08x", s.target)
 			return
 		}
-		if next == fact.blk.End {
-			// The call ends its block (the return lands on a leader):
-			// close the occurrence before suspending the caller.
-			k.closeBlock(top, fact, false)
-			if k.err != nil {
-				return
+		// A call that ends its block (the return lands on a leader)
+		// closes the occurrence before suspending the caller.
+		if s.flags&fEndsBlock != 0 && !k.closeBlock(top, s, false) {
+			return
+		}
+		k.push(frame{fn: s.callee, retTo: next})
+		k.exp = expectation{addr: s.target, kind: expOne}
+	case s.flags&fCond != 0:
+		k.closeBlock(top, s, ii.Taken)
+		if ii.Taken {
+			k.exp = expectation{addr: s.target, kind: expOne}
+		} else {
+			k.exp = expectation{addr: next, kind: expOne}
+		}
+	case s.flags&fBranch != 0:
+		k.closeBlock(top, s, ii.Taken)
+		k.exp = expectation{addr: s.target, kind: expOne}
+	default:
+		if s.flags&fEndsBlock != 0 {
+			k.closeBlock(top, s, false)
+		}
+		k.exp = expectation{addr: next, kind: expOne}
+	}
+}
+
+// enter handles a retire off the current expectation: the run's first
+// instruction (a certified root) or a hardware exception entry into a
+// certified ISR. It reports whether the retire may proceed; otherwise
+// the mismatch is recorded.
+func (k *Checker) enter(s *slot, addr uint32) bool {
+	if !k.expected(addr) {
+		isr := int32(-1)
+		for _, e := range k.p.isrs {
+			if e.addr == addr {
+				isr = e.fn
+				break
 			}
 		}
-		k.frames = append(k.frames, frame{fn: callee, retTo: next})
-		k.expect = []uint32{in.Call}
-	case in.Target != 0 && in.TakenExtra != 0: // conditional branch
-		k.closeBlock(top, fact, ii.Taken)
-		if ii.Taken {
-			k.expect = []uint32{in.Target}
-		} else {
-			k.expect = []uint32{next}
+		if isr < 0 || k.inException() {
+			k.fail(MismatchEdge, s.fn, k.p.blocks[s.blk].start, addr,
+				"control transfer to 0x%08x is not a certified edge (expected %s)", addr, k.fmtExpected())
+			return false
 		}
-	case in.Target != 0: // unconditional branch
-		k.closeBlock(top, fact, ii.Taken)
-		k.expect = []uint32{in.Target}
-	default:
-		if next == fact.blk.End {
-			k.closeBlock(top, fact, false)
-		}
-		k.expect = []uint32{next}
+		// Exception entry: suspend the interrupted continuation.
+		k.push(frame{fn: isr, exc: true, saved: k.exp})
 	}
+	if len(k.frames) == 0 {
+		// First retire of the run: open the root frame.
+		fn, ok := k.p.byAddr[addr]
+		if !ok {
+			k.fail(MismatchEdge, s.fn, k.p.blocks[s.blk].start, addr, "run does not start at a certified root")
+			return false
+		}
+		k.push(frame{fn: fn})
+	}
+	return true
 }
 
 // openBlock starts a block occurrence and runs the loop-bound
-// accounting for headers.
-func (k *Checker) openBlock(top *frame, fact *ifact) {
-	blk := fact.blk
-	top.cur = blk
+// accounting for headers. It reports false on a bound violation.
+func (k *Checker) openBlock(top *frame, b int32) bool {
+	blk := &k.p.blocks[b]
+	top.cur = b
 	top.acc = 0
-	top.skip = !blk.Exact
-	for i := range top.fn.loops {
-		l := &top.fn.loops[i]
-		if l.header != blk.Start {
-			continue
-		}
-		if top.trips == nil {
-			top.trips = make(map[uint32]uint64)
-		}
-		if top.prevBlock != 0 && l.members[top.prevBlock] {
-			top.trips[l.header]++
+	top.skip = !blk.exact
+	if blk.headLo == blk.headHi {
+		return true
+	}
+	trips := &k.trips[top.trips+blk.counter]
+	for i := blk.headLo; i < blk.headHi; i++ {
+		h := &k.p.heads[i]
+		if top.prev >= 0 && h.member(k.p.bits, k.p.blocks[top.prev].local) {
+			*trips++
 		} else {
-			top.trips[l.header] = 1 // fresh entry from outside the loop
+			*trips = 1 // fresh entry from outside the loop
 		}
-		if top.trips[l.header] > l.bound {
-			k.fail(MismatchLoopBound, fact.fn, blk.Start, blk.Start,
-				"loop header executed %d times in one entry, certified bound %d", top.trips[l.header], l.bound)
-			return
+		if *trips > h.bound {
+			k.fail(MismatchLoopBound, blk.fn, blk.start, blk.start,
+				"loop header executed %d times in one entry, certified bound %d", *trips, h.bound)
+			return false
 		}
 	}
+	return true
 }
 
 // closeBlock ends the open occurrence, checking the certified block
-// formula at the live wait-state setting.
-func (k *Checker) closeBlock(top *frame, fact *ifact, taken bool) {
-	blk := top.cur
-	if blk == nil {
-		return
+// formula at the live wait-state setting. It reports false on a
+// mismatch.
+func (k *Checker) closeBlock(top *frame, s *slot, taken bool) bool {
+	b := top.cur
+	if b < 0 {
+		return true
 	}
-	k.blockExecs[blk.Start]++
-	want := blk.Cost.Eval(k.ws)
-	if taken && blk.TakenExtra != 0 {
-		want += blk.TakenExtra
-		k.takenExits[blk.Start]++
+	blk := &k.p.blocks[b]
+	k.execs[b]++
+	want := blk.cost.Eval(k.ws)
+	if taken && blk.taken != 0 {
+		want += blk.taken
+		k.takens[b]++
 	}
 	if top.skip {
 		k.skippedAct += top.acc
 	} else {
 		k.certSum += want
 		if top.acc != want {
-			k.fail(MismatchBlockCycles, fact.fn, blk.Start, blk.End-uint32(blk.Instrs[len(blk.Instrs)-1].Size),
+			k.fail(MismatchBlockCycles, s.fn, blk.start, blk.last,
 				"occurrence cost %d cycles, certified %d (= %d + %d*ws, ws=%d, taken-exit=%v)",
-				top.acc, want, blk.Cost.Base, blk.Cost.WS, k.ws, taken)
-			return
+				top.acc, want, blk.cost.Base, blk.cost.WS, k.ws, taken)
+			return false
 		}
 	}
-	top.prevBlock = blk.Start
-	top.cur = nil
+	top.prev = b
+	top.cur = -1
 	top.acc = 0
 	top.skip = false
+	return true
 }
 
 // inException reports whether an exception frame is active.
@@ -481,7 +502,7 @@ func (k *Checker) Finish() error {
 	}
 	total := k.certSum + k.skippedAct + entry + sleep
 	if total != k.cpu.Cycles {
-		k.fail(MismatchTotals, nil, 0, 0,
+		k.fail(MismatchTotals, -1, 0, 0,
 			"certified %d + exempt %d + exception-entry %d + sleep %d = %d cycles, core measured %d",
 			k.certSum, k.skippedAct, entry, sleep, total, k.cpu.Cycles)
 	}
@@ -500,12 +521,24 @@ func (k *Checker) CertifiedCycles() uint64 { return k.certSum }
 func (k *Checker) ExemptCycles() uint64 { return k.skippedAct }
 
 // BlockExecutions returns the per-block occurrence counts observed
-// during the run, keyed by block start address.
-func (k *Checker) BlockExecutions() map[uint32]uint64 { return k.blockExecs }
+// during the run, keyed by block start address. The map is built from
+// the run's dense counters on each call.
+func (k *Checker) BlockExecutions() map[uint32]uint64 { return k.byStart(k.execs) }
 
 // TakenExits returns, per block start, how many occurrences exited via
-// the taken edge of a conditional terminator.
-func (k *Checker) TakenExits() map[uint32]uint64 { return k.takenExits }
+// the taken edge of a conditional terminator. The map is built from
+// the run's dense counters on each call.
+func (k *Checker) TakenExits() map[uint32]uint64 { return k.byStart(k.takens) }
+
+func (k *Checker) byStart(counts []uint64) map[uint32]uint64 {
+	m := make(map[uint32]uint64)
+	for b, n := range counts {
+		if n != 0 {
+			m[k.p.blocks[b].start] += n
+		}
+	}
+	return m
+}
 
 func fmtAddrs(addrs []uint32) string {
 	if len(addrs) == 0 {

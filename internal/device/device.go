@@ -7,6 +7,7 @@ package device
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"github.com/neuro-c/neuroc/internal/armv6m"
@@ -45,7 +46,8 @@ type Result struct {
 	SleepCycles uint64
 
 	// Trace carries the full cycle-attribution breakdown when the
-	// inference ran through RunProfiled; nil for plain Run.
+	// inference ran through RunProfiled or RunTraced; nil for plain Run,
+	// checked or not.
 	Trace *armv6m.Trace
 
 	// StackPeakBytes is the deepest stack usage observed below the reset
@@ -64,6 +66,11 @@ type Result struct {
 	// (armv6m.DefaultTimerMaxEvents); nonzero means Telemetry is
 	// incomplete and per-layer attribution must not be trusted.
 	TelemetryDropped uint64
+
+	// Check is the certificate checker that validated this inference
+	// when the device ran Checked (nil otherwise); its accounting
+	// (CertifiedCycles, BlockExecutions, ...) describes this run only.
+	Check *cert.Checker
 }
 
 // ActiveCycles is the non-sleep portion of Cycles.
@@ -147,6 +154,25 @@ type Device struct {
 	// through the tracing step path, so they cost tracing overhead but
 	// produce bit-identical architectural results.
 	Checked bool
+
+	// checks is the image's certificate compiled for checked runs,
+	// shared by every board of a FlashImage.
+	checks *compiledCert
+}
+
+// compiledCert compiles an image's certificate on the first checked
+// run and keeps it for every later run on any board sharing it, so the
+// retire-time table is built once per image, not once per run, and
+// unchecked users never pay for it.
+type compiledCert struct {
+	once sync.Once
+	c    *cert.Compiled
+	err  error
+}
+
+func (cc *compiledCert) get(c *cert.Certificate) (*cert.Compiled, error) {
+	cc.once.Do(func() { cc.c, cc.err = cert.Compile(c) })
+	return cc.c, cc.err
 }
 
 // New loads img into a fresh board. The returned device can run many
@@ -161,7 +187,7 @@ func New(img *modelimg.Image) (*Device, error) {
 	if tt := cert.Translate(img.Cert, cpu.PredecodeNow()); tt != nil {
 		cpu.UseTranslation(tt)
 	}
-	d := &Device{CPU: cpu, Img: img}
+	d := &Device{CPU: cpu, Img: img, checks: &compiledCert{}}
 	d.attachTimer()
 	return d, nil
 }
@@ -198,7 +224,7 @@ func SharedFlash(img *modelimg.Image) ([]byte, error) {
 // the image privately on its first Step; use FlashImage to share one
 // table across boards as well.
 func NewOnFlash(img *modelimg.Image, flash []byte) *Device {
-	d := &Device{CPU: armv6m.NewSharedFlash(flash), Img: img}
+	d := &Device{CPU: armv6m.NewSharedFlash(flash), Img: img, checks: &compiledCert{}}
 	d.attachTimer()
 	return d
 }
@@ -206,9 +232,10 @@ func NewOnFlash(img *modelimg.Image, flash []byte) *Device {
 // FlashImage is a program image prepared for mass deployment: the
 // shared flash array plus the predecoded execution table built from it,
 // both immutable. Booting a board from it (NewBoard) shares everything
-// the boards can share — flash bytes and decoded instructions — leaving
-// only SRAM, registers, and counters private, so the per-board setup
-// cost is O(SRAM) rather than O(image).
+// the boards can share — flash bytes, decoded instructions, and the
+// certificate compiled for checked runs — leaving only SRAM, registers,
+// and counters private, so the per-board setup cost is O(SRAM) rather
+// than O(image).
 type FlashImage struct {
 	Img   *modelimg.Image
 	Flash []byte
@@ -222,6 +249,8 @@ type FlashImage struct {
 	// TransBuild is the one-time host cost of building Trans, the
 	// translated-tier analogue of Table.BuildTime().
 	TransBuild time.Duration
+
+	checks compiledCert // compiled on the first checked run of any board
 }
 
 // NewFlashImage builds the shared flash array, predecodes the image
@@ -245,9 +274,10 @@ func NewFlashImage(img *modelimg.Image) (*FlashImage, error) {
 }
 
 // NewBoard boots a fresh board on the shared flash and attaches the
-// shared predecode and translation tables.
+// shared predecode, translation, and compiled-certificate tables.
 func (f *FlashImage) NewBoard() *Device {
 	d := NewOnFlash(f.Img, f.Flash)
+	d.checks = &f.checks
 	d.CPU.UsePredecode(f.Table)
 	if f.Trans != nil {
 		d.CPU.UseTranslation(f.Trans)
@@ -309,22 +339,27 @@ func (d *Device) run(input []int8, trace *armv6m.Trace) (*Result, error) {
 	default:
 		return nil, fmt.Errorf("device: unknown tier %q", string(d.Tier))
 	}
+	callerTrace := trace
 	var chk *cert.Checker
 	if d.Checked {
 		if d.Img.Cert == nil {
 			return nil, fmt.Errorf("device: checked execution requires an image certificate")
 		}
-		var err error
-		chk, err = cert.NewChecker(d.Img.Cert, d.CPU)
+		compiled, err := d.checks.get(d.Img.Cert)
+		if err == nil {
+			chk, err = compiled.NewChecker(d.CPU)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("device: checked execution: %w", err)
 		}
 		if trace == nil {
-			trace = armv6m.NewTrace()
+			// The checker needs the trace's counters, not a per-PC
+			// profile nobody asked for: no histogram (nil PCs).
+			trace = &armv6m.Trace{SPMin: ^uint32(0)}
 		}
-		// The checker chains behind any caller-supplied hook and is
-		// detached afterwards, so the caller's trace comes back with
-		// its own hook intact and its events unmodified.
+		// The checker observes behind any caller-supplied OnInstr hook
+		// and is detached afterwards, so the caller's trace comes back
+		// with its own hook intact and its events unmodified.
 		detach := chk.Attach(trace)
 		defer detach()
 	}
@@ -371,7 +406,7 @@ func (d *Device) run(input []int8, trace *armv6m.Trace) (*Result, error) {
 		}
 		out[i] = int8(uint8(v))
 	}
-	res := &Result{Output: out, Cycles: d.CPU.Cycles, Instructions: d.CPU.Instructions, SleepCycles: d.CPU.SleepCycles, Trace: trace}
+	res := &Result{Output: out, Cycles: d.CPU.Cycles, Instructions: d.CPU.Instructions, SleepCycles: d.CPU.SleepCycles, Trace: callerTrace, Check: chk}
 	if trace != nil {
 		res.StackPeakBytes = trace.StackPeak(initialSP)
 	}

@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"github.com/neuro-c/neuroc/internal/armv6m"
+	"github.com/neuro-c/neuroc/internal/cert"
 	"github.com/neuro-c/neuroc/internal/device"
 	"github.com/neuro-c/neuroc/internal/modelimg"
 	"github.com/neuro-c/neuroc/internal/obs"
@@ -85,6 +86,9 @@ type Result struct {
 	Telemetry []armv6m.TimerEvent
 	// TelemetryDropped counts mailbox events lost to the capture cap.
 	TelemetryDropped uint64
+	// Check is the certificate checker of this item's run under
+	// Options.Checked (nil otherwise; see device.Result.Check).
+	Check *cert.Checker
 	// Err is the per-item failure (bus fault, budget exhaustion).
 	// Items with Err != nil have no Output.
 	Err error
@@ -250,6 +254,7 @@ func Map(img *modelimg.Image, inputs [][]int8, opts Options) ([]Result, *Stats, 
 						SleepCycles:      res.SleepCycles,
 						Telemetry:        res.Telemetry,
 						TelemetryDropped: res.TelemetryDropped,
+						Check:            res.Check,
 					}
 					cycleHists[w].Record(res.Cycles)
 					wallHists[w].Record(uint64(dur.Nanoseconds()))

@@ -3,6 +3,7 @@ package farm_test
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -438,5 +439,45 @@ func TestTierParityAcrossFarm(t *testing.T) {
 	}
 	if _, _, err := farm.Map(img, inputs, farm.Options{Tier: device.Tier("jit")}); err == nil {
 		t.Error("unknown tier did not fail up front")
+	}
+}
+
+// TestCheckedSharedTableIsolation: a 2-worker checked Map shares one
+// flash image — and with it one compiled certificate — across both
+// boards. Every item's certified accounting (certified and exempt
+// cycles, per-block executions, taken exits) must equal a fresh board's
+// single checked run of the same input; under -race this also proves
+// the shared table is never written during runs.
+func TestCheckedSharedTableIsolation(t *testing.T) {
+	img := testImage(t)
+	inputs := testInputs(24, img.InDim)
+	results, _, err := farm.Map(img, inputs, farm.Options{Workers: 2, Checked: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, in := range inputs {
+		dev, err := device.New(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dev.Checked = true
+		want, err := dev.Run(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := results[i].Check
+		if got == nil {
+			t.Fatalf("input %d: checked farm item carries no checker", i)
+		}
+		if got.CertifiedCycles() != want.Check.CertifiedCycles() || got.ExemptCycles() != want.Check.ExemptCycles() {
+			t.Fatalf("input %d: farm certified/exempt %d/%d, fresh board %d/%d", i,
+				got.CertifiedCycles(), got.ExemptCycles(), want.Check.CertifiedCycles(), want.Check.ExemptCycles())
+		}
+		if !reflect.DeepEqual(got.BlockExecutions(), want.Check.BlockExecutions()) {
+			t.Fatalf("input %d: block executions differ from a fresh board's", i)
+		}
+		if !reflect.DeepEqual(got.TakenExits(), want.Check.TakenExits()) {
+			t.Fatalf("input %d: taken exits differ from a fresh board's", i)
+		}
 	}
 }

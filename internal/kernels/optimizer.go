@@ -3,6 +3,7 @@ package kernels
 import (
 	"fmt"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -155,23 +156,61 @@ func flagsDeadAfter(lines []asmLine, i int) bool {
 	return false
 }
 
+// pattern is an anchored instruction regexp together with the
+// mnemonics it can match, so a line with any other mnemonic (labels and
+// directives have none) skips the regexp engine.
+type pattern struct {
+	re    *regexp.Regexp
+	mnems []string
+}
+
+// match returns the submatches of the line's normalized body, or nil.
+func (p pattern) match(l asmLine) []string {
+	if !slices.Contains(p.mnems, l.mnem) {
+		return nil
+	}
+	return p.re.FindStringSubmatch(l.norm)
+}
+
 var (
-	reAddSubImm = regexp.MustCompile(`^(adds|subs) (r\d+), #(\d+)$`)
-	reMovsZero  = regexp.MustCompile(`^movs (r\d+), #0$`)
-	reAcc3      = regexp.MustCompile(`^(adds|subs) (r\d+), (r\d+), (r\d+)$`)
-	reStr       = regexp.MustCompile(`^str (r\d+), \[(r\d+)\]$`)
-	reAddImm    = regexp.MustCompile(`^adds (r\d+), #(\d+)$`)
-	reStmia     = regexp.MustCompile(`^stmia (r\d+)!, \{(.+)\}$`)
+	reAddSubImm = pattern{regexp.MustCompile(`^(adds|subs) (r\d+), #(\d+)$`), []string{"adds", "subs"}}
+	reMovsZero  = pattern{regexp.MustCompile(`^movs (r\d+), #0$`), []string{"movs"}}
+	reAcc3      = pattern{regexp.MustCompile(`^(adds|subs) (r\d+), (r\d+), (r\d+)$`), []string{"adds", "subs"}}
+	reStr       = pattern{regexp.MustCompile(`^str (r\d+), \[(r\d+)\]$`), []string{"str"}}
+	reAddImm    = pattern{regexp.MustCompile(`^adds (r\d+), #(\d+)$`), []string{"adds"}}
+	reStmia     = pattern{regexp.MustCompile(`^stmia (r\d+)!, \{(.+)\}$`), []string{"stmia"}}
 )
+
+// mentionsReg reports whether register name r occurs in s as a whole
+// word (the \b-delimited match, without compiling a pattern per call).
+func mentionsReg(s, r string) bool {
+	for i := 0; i+len(r) <= len(s); {
+		j := strings.Index(s[i:], r)
+		if j < 0 {
+			return false
+		}
+		j += i
+		end := j + len(r)
+		if (j == 0 || !isWordByte(s[j-1])) && (end == len(s) || !isWordByte(s[end])) {
+			return true
+		}
+		i = j + 1
+	}
+	return false
+}
+
+func isWordByte(c byte) bool {
+	return c == '_' || '0' <= c && c <= '9' || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z'
+}
 
 // readsReg conservatively reports whether the instruction body reads
 // register r (any mention that is not a pure destination is a read; to
 // stay safe, any mention at all counts except for "movs r, #imm").
 func readsReg(l asmLine, r string) bool {
-	if !regexp.MustCompile(`\b` + r + `\b`).MatchString(l.norm) {
+	if !mentionsReg(l.norm, r) {
 		return false
 	}
-	if m := reMovsZero.FindStringSubmatch(l.norm); m != nil && m[1] == r {
+	if m := reMovsZero.match(l); m != nil && m[1] == r {
 		return false // pure write
 	}
 	return true
@@ -182,18 +221,19 @@ func readsReg(l asmLine, r string) bool {
 // their net displacement (deleting the run outright when it cancels).
 // Applied to the unrolled generator's rewind-to-zero + advance window
 // move pairs. Requires the run's flags to be dead.
-func coalesceAddSub(lines []asmLine) ([]asmLine, bool) {
+func coalesceAddSub(lines, out []asmLine) ([]asmLine, bool) {
 	changed := false
 	for i := 0; i < len(lines); i++ {
-		m := reAddSubImm.FindStringSubmatch(lines[i].norm)
+		m := reAddSubImm.match(lines[i])
 		if lines[i].kind != lineInstr || m == nil {
+			out = append(out, lines[i])
 			continue
 		}
 		reg := m[2]
 		net := 0
 		j := i
 		for ; j < len(lines) && lines[j].kind == lineInstr; j++ {
-			mm := reAddSubImm.FindStringSubmatch(lines[j].norm)
+			mm := reAddSubImm.match(lines[j])
 			if mm == nil || mm[2] != reg {
 				break
 			}
@@ -206,6 +246,7 @@ func coalesceAddSub(lines []asmLine) ([]asmLine, bool) {
 		}
 		runLen := j - i
 		if runLen < 2 || !flagsDeadAfter(lines, j-1) {
+			out = append(out, lines[i])
 			continue
 		}
 		op, mag := "adds", net
@@ -222,12 +263,22 @@ func coalesceAddSub(lines []asmLine) ([]asmLine, bool) {
 			mag -= step
 		}
 		if len(repl) >= runLen {
+			out = append(out, lines[i])
 			continue // no win
 		}
-		lines = append(lines[:i], append(repl, lines[j:]...)...)
+		// The replacement is itself a minimal run, so nothing in it can
+		// coalesce further: resume after the folded run. A run that
+		// cancels outright also passes over the line after it, as the
+		// in-place deletion this sweep replaces always did.
+		out = append(out, repl...)
+		i = j - 1
+		if len(repl) == 0 && j < len(lines) {
+			out = append(out, lines[j])
+			i = j
+		}
 		changed = true
 	}
-	return lines, changed
+	return out, changed
 }
 
 // foldZeroInit deletes a "movs rX, #0" whose first and only use of rX is
@@ -236,99 +287,130 @@ func coalesceAddSub(lines []asmLine) ([]asmLine, bool) {
 // same value from a zero accumulator). The dead-flag analysis licenses
 // the rewrite: the scan aborts at any flag reader, and the mov form
 // additionally requires the accumulate's own flags to be dead.
-func foldZeroInit(lines []asmLine) ([]asmLine, bool) {
+func foldZeroInit(lines, out []asmLine) ([]asmLine, bool) {
 	changed := false
-	for i := 0; i < len(lines); i++ {
-		mz := reMovsZero.FindStringSubmatch(lines[i].norm)
-		if lines[i].kind != lineInstr || mz == nil {
+	for i := range lines {
+		if foldOneZeroInit(lines, i) {
+			changed = true
 			continue
 		}
-		reg := mz[1]
-		for j := i + 1; j < len(lines); j++ {
-			l := lines[j]
-			if l.kind == lineLabel || l.kind == lineDirective {
-				break // control may join here; keep the init
-			}
-			if l.kind != lineInstr {
-				continue
-			}
-			m := l.mnem
-			if condBranches[m] || m == "adcs" || m == "sbcs" ||
-				m == "b" || m == "bl" || m == "bx" || m == "bkpt" || m == "pop" {
-				break
-			}
-			if !readsReg(l, reg) {
-				continue
-			}
-			acc := reAcc3.FindStringSubmatch(l.norm)
-			if acc == nil || acc[2] != reg || acc[3] != reg || acc[4] == reg {
-				break // some other use: keep the init
-			}
-			if acc[1] == "adds" {
-				// adds sets NZCV, mov sets nothing: need the flags dead.
-				if !flagsDeadAfter(lines, j) {
-					break
-				}
-				lines[j] = instrLine(fmt.Sprintf("mov %s, %s", reg, acc[4]))
-			} else {
-				// rsbs computes 0-rS with the same flags subs did.
-				lines[j] = instrLine(fmt.Sprintf("rsbs %s, %s", reg, acc[4]))
-			}
-			lines = append(lines[:i], lines[i+1:]...)
-			changed = true
-			i--
+		out = append(out, lines[i])
+	}
+	return out, changed
+}
+
+// foldOneZeroInit applies foldZeroInit at line i: when line i is a
+// foldable init it rewrites the accumulate in place (a later line) and
+// reports true, and the caller drops line i. Scans only look forward of
+// i, so the lines already dropped never matter.
+func foldOneZeroInit(lines []asmLine, i int) bool {
+	mz := reMovsZero.match(lines[i])
+	if lines[i].kind != lineInstr || mz == nil {
+		return false
+	}
+	reg := mz[1]
+	for j := i + 1; j < len(lines); j++ {
+		l := lines[j]
+		if l.kind == lineLabel || l.kind == lineDirective {
+			break // control may join here; keep the init
+		}
+		if l.kind != lineInstr {
+			continue
+		}
+		m := l.mnem
+		if condBranches[m] || m == "adcs" || m == "sbcs" ||
+			m == "b" || m == "bl" || m == "bx" || m == "bkpt" || m == "pop" {
 			break
 		}
+		if !readsReg(l, reg) {
+			continue
+		}
+		acc := reAcc3.match(l)
+		if acc == nil || acc[2] != reg || acc[3] != reg || acc[4] == reg {
+			break // some other use: keep the init
+		}
+		if acc[1] == "adds" {
+			// adds sets NZCV, mov sets nothing: need the flags dead.
+			if !flagsDeadAfter(lines, j) {
+				break
+			}
+			lines[j] = instrLine(fmt.Sprintf("mov %s, %s", reg, acc[4]))
+		} else {
+			// rsbs computes 0-rS with the same flags subs did.
+			lines[j] = instrLine(fmt.Sprintf("rsbs %s, %s", reg, acc[4]))
+		}
+		return true
 	}
-	return lines, changed
+	return false
 }
 
 // strengthReduceStores rewrites "str rX, [rC]" + "adds rC, #4" into
 // "stmia rC!, {rX}" (3 cycles to 2), then merges adjacent ascending
 // stmia on the same cursor into one multi-register store (2n cycles to
 // 1+n). The adds' flags must be dead — stmia sets none.
-func strengthReduceStores(lines []asmLine) ([]asmLine, bool) {
+func strengthReduceStores(lines, out []asmLine) ([]asmLine, bool) {
 	changed := false
-	for i := 0; i+1 < len(lines); i++ {
-		st := reStr.FindStringSubmatch(lines[i].norm)
-		if lines[i].kind != lineInstr || st == nil || lines[i+1].kind != lineInstr {
+	for i := 0; i < len(lines); i++ {
+		if i+1 < len(lines) && storeIncrement(lines, i) {
+			st := reStr.match(lines[i])
+			out = append(out, instrLine(fmt.Sprintf("stmia %s!, {%s}", st[2], st[1])))
+			i++ // the adds folded into the stmia
+			changed = true
 			continue
 		}
-		ad := reAddImm.FindStringSubmatch(lines[i+1].norm)
-		if ad == nil || ad[1] != st[2] || ad[2] != "4" || st[1] == st[2] {
-			continue
-		}
-		if !flagsDeadAfter(lines, i+1) {
-			continue
-		}
-		lines[i] = instrLine(fmt.Sprintf("stmia %s!, {%s}", st[2], st[1]))
-		lines = append(lines[:i+1], lines[i+2:]...)
-		changed = true
+		out = append(out, lines[i])
 	}
-	for i := 0; i+1 < len(lines); i++ {
-		a := reStmia.FindStringSubmatch(lines[i].norm)
-		b := reStmia.FindStringSubmatch(lines[i+1].norm)
-		if a == nil || b == nil || a[1] != b[1] {
-			continue
+	// Merge runs of adjacent stmia into the last kept line, compacting
+	// in place: the write index never passes the read index.
+	merged := out[:0]
+	for _, l := range out {
+		if n := len(merged); n > 0 {
+			if m, ok := mergeStmia(merged[n-1], l); ok {
+				merged[n-1] = m
+				changed = true
+				continue
+			}
 		}
-		// Register lists must stay ascending for the merged STMIA.
-		lastA := strings.TrimSpace(a[2][strings.LastIndex(a[2], ",")+1:])
-		firstB := strings.TrimSpace(b[2])
-		if i := strings.IndexByte(firstB, ','); i >= 0 {
-			firstB = firstB[:i]
-		}
-		na, _ := strconv.Atoi(strings.TrimPrefix(lastA, "r"))
-		nb, _ := strconv.Atoi(strings.TrimPrefix(firstB, "r"))
-		cursor, _ := strconv.Atoi(strings.TrimPrefix(a[1], "r"))
-		if nb <= na || na == cursor || nb == cursor {
-			continue
-		}
-		lines[i] = instrLine(fmt.Sprintf("stmia %s!, {%s, %s}", a[1], a[2], b[2]))
-		lines = append(lines[:i+1], lines[i+2:]...)
-		changed = true
-		i--
+		merged = append(merged, l)
 	}
-	return lines, changed
+	return merged, changed
+}
+
+// storeIncrement reports whether lines i, i+1 are "str rX, [rC]" +
+// "adds rC, #4" with the adds' flags dead.
+func storeIncrement(lines []asmLine, i int) bool {
+	st := reStr.match(lines[i])
+	if lines[i].kind != lineInstr || st == nil || lines[i+1].kind != lineInstr {
+		return false
+	}
+	ad := reAddImm.match(lines[i+1])
+	if ad == nil || ad[1] != st[2] || ad[2] != "4" || st[1] == st[2] {
+		return false
+	}
+	return flagsDeadAfter(lines, i+1)
+}
+
+// mergeStmia merges two stmia on the same cursor whose register lists
+// stay ascending when concatenated.
+func mergeStmia(x, y asmLine) (asmLine, bool) {
+	a := reStmia.match(x)
+	b := reStmia.match(y)
+	if a == nil || b == nil || a[1] != b[1] {
+		return asmLine{}, false
+	}
+	// Register lists must stay ascending for the merged STMIA.
+	lastA := strings.TrimSpace(a[2][strings.LastIndex(a[2], ",")+1:])
+	firstB := strings.TrimSpace(b[2])
+	if i := strings.IndexByte(firstB, ','); i >= 0 {
+		firstB = firstB[:i]
+	}
+	na, _ := strconv.Atoi(strings.TrimPrefix(lastA, "r"))
+	nb, _ := strconv.Atoi(strings.TrimPrefix(firstB, "r"))
+	cursor, _ := strconv.Atoi(strings.TrimPrefix(a[1], "r"))
+	if nb <= na || na == cursor || nb == cursor {
+		return asmLine{}, false
+	}
+	return instrLine(fmt.Sprintf("stmia %s!, {%s, %s}", a[1], a[2], b[2])), true
 }
 
 // Optimize applies the peephole passes to one generated kernel's text
@@ -338,12 +420,20 @@ func strengthReduceStores(lines []asmLine) ([]asmLine, bool) {
 // rewriting.
 func Optimize(src string) string {
 	lines := parseAsm(src)
+	// The passes only ever shrink the text, so two buffers of the
+	// original length serve every pass of every round: each reads one
+	// and writes the other.
+	spare := make([]asmLine, 0, len(lines))
 	for round := 0; round < 8; round++ {
-		var c1, c2, c3 bool
-		lines, c1 = foldZeroInit(lines)
-		lines, c2 = coalesceAddSub(lines)
-		lines, c3 = strengthReduceStores(lines)
-		if !c1 && !c2 && !c3 {
+		changed := false
+		for _, pass := range []func(lines, out []asmLine) ([]asmLine, bool){
+			foldZeroInit, coalesceAddSub, strengthReduceStores,
+		} {
+			out, c := pass(lines, spare[:0])
+			lines, spare = out, lines
+			changed = changed || c
+		}
+		if !changed {
 			break
 		}
 	}
@@ -358,18 +448,14 @@ func Optimize(src string) string {
 // take no descriptor.
 func OptimizeEntry(entry string, selfContained map[string]bool) string {
 	lines := parseAsm(entry)
-	for i := 1; i < len(lines); i++ {
-		if lines[i].kind != lineInstr || lines[i].mnem != "bl" {
-			continue
+	out := make([]asmLine, 0, len(lines))
+	for _, l := range lines {
+		if l.kind == lineInstr && l.mnem == "bl" && selfContained[strings.TrimSpace(strings.TrimPrefix(l.norm, "bl "))] {
+			if n := len(out); n > 0 && out[n-1].kind == lineInstr && strings.HasPrefix(out[n-1].norm, "ldr r0, =") {
+				out = out[:n-1]
+			}
 		}
-		callee := strings.TrimSpace(strings.TrimPrefix(lines[i].norm, "bl "))
-		if !selfContained[callee] {
-			continue
-		}
-		if lines[i-1].kind == lineInstr && strings.HasPrefix(lines[i-1].norm, "ldr r0, =") {
-			lines = append(lines[:i-1], lines[i:]...)
-			i--
-		}
+		out = append(out, l)
 	}
-	return renderAsm(lines)
+	return renderAsm(out)
 }

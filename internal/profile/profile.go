@@ -98,7 +98,7 @@ func (p *Profile) locate(pc uint32) (symbol, bool) {
 func (p *Profile) aggregate() {
 	flat := make(map[string]*Entry)
 	kern := make(map[string]*Entry)
-	add := func(m map[string]*Entry, name string, addr uint32, s *armv6m.PCSample) {
+	add := func(m map[string]*Entry, name string, addr uint32, s armv6m.PCSample) {
 		e := m[name]
 		if e == nil {
 			e = &Entry{Symbol: name, Addr: addr}
@@ -110,18 +110,17 @@ func (p *Profile) aggregate() {
 		e.Count += s.Count
 		e.Cycles += s.Cycles
 	}
-	//neurolint:allow maporder (commutative sums per symbol; entries sorted in collect)
-	for pc, s := range p.Trace.PCs {
+	p.Trace.PCs.Each(func(pc uint32, s armv6m.PCSample) {
 		sym, ok := p.locate(pc)
 		if !ok {
 			name := fmt.Sprintf("0x%08x", pc)
 			add(flat, name, pc, s)
 			add(kern, name, pc, s)
-			continue
+			return
 		}
 		add(flat, sym.name, sym.addr, s)
 		add(kern, sym.root, sym.addr, s)
-	}
+	})
 	collect := func(m map[string]*Entry) []Entry {
 		out := make([]Entry, 0, len(m))
 		for _, e := range m { //neurolint:allow maporder (sorted below on a total order)
@@ -225,18 +224,18 @@ func (p *Profile) WriteFolded(w io.Writer) error {
 	// Aggregate per (root, label) pair for stable two-level stacks.
 	type key struct{ root, label string }
 	agg := make(map[key]uint64)
-	for pc, s := range p.Trace.PCs { //neurolint:allow maporder (commutative sums; keys sorted below)
+	p.Trace.PCs.Each(func(pc uint32, s armv6m.PCSample) {
 		sym, ok := p.locate(pc)
 		if !ok {
 			agg[key{fmt.Sprintf("0x%08x", pc), ""}] += s.Cycles
-			continue
+			return
 		}
 		if sym.root == sym.name {
 			agg[key{sym.name, ""}] += s.Cycles
 		} else {
 			agg[key{sym.root, sym.name}] += s.Cycles
 		}
-	}
+	})
 	keys := make([]key, 0, len(agg))
 	for k := range agg { //neurolint:allow maporder (sorted below)
 		keys = append(keys, k)

@@ -15,7 +15,7 @@ import (
 func fakeTrace() (*armv6m.Trace, map[string]uint32) {
 	tr := armv6m.NewTrace()
 	add := func(pc uint32, count, cycles uint64) {
-		tr.PCs[pc] = &armv6m.PCSample{Count: count, Cycles: cycles}
+		tr.PCs.Add(pc, count, cycles)
 	}
 	add(0x0800_0010, 2, 2)   // k_matmul
 	add(0x0800_0014, 10, 20) // k_matmul_loop (local label of k_matmul)
@@ -123,9 +123,7 @@ func TestWriteFolded(t *testing.T) {
 	}
 	// Folded cycles sum to the PC histogram total.
 	var want uint64
-	for _, s := range tr.PCs {
-		want += s.Cycles
-	}
+	tr.PCs.Each(func(_ uint32, s armv6m.PCSample) { want += s.Cycles })
 	if total != want {
 		t.Errorf("folded cycles %d, histogram %d", total, want)
 	}
