@@ -1,7 +1,5 @@
 package armv6m
 
-import "fmt"
-
 // Machine-readable instruction decode. Decode is the single source of
 // truth for the Thumb-1 encodings this repository understands: the
 // disassembler renders Instr values as text, and the static analyzer
@@ -16,13 +14,13 @@ type Kind uint8
 
 // Instruction kinds.
 const (
-	KindUnknown Kind = iota // undecodable halfword (data)
-	KindALU                 // register-writing data processing
-	KindCompare             // flags only: CMP, CMN, TST
-	KindLoad                // single load (incl. PC- and SP-relative)
-	KindStore               // single store
-	KindLoadMulti           // LDMIA
-	KindStoreMulti          // STMIA
+	KindUnknown    Kind = iota // undecodable halfword (data)
+	KindALU                    // register-writing data processing
+	KindCompare                // flags only: CMP, CMN, TST
+	KindLoad                   // single load (incl. PC- and SP-relative)
+	KindStore                  // single store
+	KindLoadMulti              // LDMIA
+	KindStoreMulti             // STMIA
 	KindPush
 	KindPop
 	KindBranch     // B
@@ -163,19 +161,6 @@ func (in *Instr) MaxCycles(p Profile, mulCycles int) int {
 	}
 }
 
-func regName(n uint32) string {
-	switch n {
-	case 13:
-		return "sp"
-	case 14:
-		return "lr"
-	case 15:
-		return "pc"
-	default:
-		return fmt.Sprintf("r%d", n)
-	}
-}
-
 // Decode decodes the instruction whose first halfword is op (and, for
 // the 32-bit BL encoding, second halfword lo) at address addr. Unknown
 // encodings return KindUnknown with a ".hword" rendering, so walking a
@@ -188,7 +173,7 @@ func Decode(addr uint32, op, lo uint16) Instr {
 	}
 	r3 := func(shift uint) int8 { return int8(o >> shift & 7) }
 	txt := func(format string, args ...interface{}) {
-		in.Text = fmt.Sprintf(format, args...)
+		in.Text = render(format, args...)
 	}
 
 	switch o >> 11 {

@@ -209,7 +209,7 @@ func run(p *thumb.Program, cfg Config) (*checker, []uint32, []uint32, error) {
 		funcs: make(map[uint32]*fn),
 		vseen: make(map[string]bool),
 		ctxs:  make(map[ctxKey]*ctxInfo),
-		mems:  make(map[uint32]*memFact),
+		mems:  make([]memFact, len(p.Code)/2),
 	}
 	var rootAddrs, isrAddrs []uint32
 	for _, name := range cfg.Roots {
@@ -239,6 +239,7 @@ type checker struct {
 
 	funcs     map[uint32]*fn
 	funcOrder []uint32
+	cfgs      cfgScratch
 
 	violations []Violation
 	vseen      map[string]bool
@@ -249,8 +250,9 @@ type checker struct {
 	unprovenLoads int
 
 	// mems accumulates per-instruction memory classification across all
-	// analyzed contexts (the certificate's per-access facts).
-	mems map[uint32]*memFact
+	// analyzed contexts (the certificate's per-access facts), indexed by
+	// code halfword.
+	mems []memFact
 }
 
 // memFact is the joined memory classification of one load/store site
@@ -265,11 +267,7 @@ type memFact struct {
 // noteMem joins one context's classification of a load/store site into
 // the whole-program fact.
 func (ck *checker) noteMem(addr uint32, r regionID, store bool) {
-	m := ck.mems[addr]
-	if m == nil {
-		m = &memFact{}
-		ck.mems[addr] = m
-	}
+	m := &ck.mems[ck.hw(addr)]
 	if store {
 		m.store = true
 	}

@@ -57,9 +57,12 @@ func Certify(p *thumb.Program, cfg Config) (*cert.Certificate, *Report, error) {
 // certFunc exports one function: blocks in address order, loops with
 // their proven bounds.
 func (ck *checker) certFunc(f *fn) cert.Func {
-	cf := cert.Func{Name: f.name, Addr: f.addr}
+	cf := cert.Func{Name: f.name, Addr: f.addr, Blocks: make([]cert.Block, 0, len(f.blockList))}
+	// One slab holds every instruction fact; each block takes its run.
+	facts := make([]cert.Instr, 0, len(f.instrs))
 	for _, b := range f.blockList {
 		cb := cert.Block{Start: b.start, Exact: true}
+		first := len(facts)
 		for i := range b.instrs {
 			in := &b.instrs[i]
 			ci := ck.certInstr(in)
@@ -68,8 +71,9 @@ func (ck *checker) certFunc(f *fn) cert.Func {
 			if !ci.Exact {
 				cb.Exact = false
 			}
-			cb.Instrs = append(cb.Instrs, ci)
+			facts = append(facts, ci)
 		}
+		cb.Instrs = facts[first:len(facts):len(facts)]
 		last := b.last()
 		cb.End = last.Addr + uint32(last.Size)
 		for _, s := range b.succs {
@@ -113,8 +117,8 @@ func (ck *checker) certInstr(in *instr) cert.Instr {
 	// classify resolves the joined memory fact for a data-accessing
 	// instruction; an unproven region makes the instruction inexact.
 	classify := func() (regionID, bool) {
-		m := ck.mems[in.Addr]
-		if m == nil || !m.seen || m.unproven {
+		m := &ck.mems[ck.hw(in.Addr)]
+		if !m.seen || m.unproven {
 			ci.Exact = false
 			return regionNone, false
 		}

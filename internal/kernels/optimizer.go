@@ -1,11 +1,9 @@
 package kernels
 
 import (
-	"fmt"
-	"regexp"
-	"slices"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // The optimizer: peephole passes over generated Thumb-1 kernel text.
@@ -33,10 +31,11 @@ import (
 
 // asmLine is one parsed line of kernel text.
 type asmLine struct {
-	raw  string // original text, kept verbatim for untouched lines
-	kind int    // lineInstr, lineLabel, lineDirective, lineBlank
-	norm string // instr only: comment-stripped, whitespace-normalized body
-	mnem string // instr only: first token of norm
+	raw   string // original text, kept verbatim for untouched lines
+	kind  int    // lineInstr, lineLabel, lineDirective, lineBlank
+	norm  string // instr only: comment-stripped, whitespace-normalized body
+	mnem  string // instr only: first token of norm
+	label string // label only: the label name as branches spell it
 }
 
 const (
@@ -48,38 +47,72 @@ const (
 
 // parseAsm splits kernel text into lines, classifying each.
 func parseAsm(src string) []asmLine {
-	var out []asmLine
-	for _, raw := range strings.Split(src, "\n") {
+	out := make([]asmLine, 0, strings.Count(src, "\n")+1)
+	for {
+		raw, rest, more := strings.Cut(src, "\n")
 		l := asmLine{raw: raw}
 		body := raw
 		if i := strings.IndexByte(body, '@'); i >= 0 {
 			body = body[:i]
 		}
-		body = strings.Join(strings.Fields(body), " ")
+		body = normalize(body)
 		switch {
 		case body == "":
 			l.kind = lineBlank
 		case strings.HasSuffix(body, ":"):
 			l.kind = lineLabel
+			l.label = strings.TrimSuffix(strings.Join(strings.Fields(raw), ""), ":")
 		case strings.HasPrefix(strings.TrimSpace(raw), "."):
 			l.kind = lineDirective
 		default:
 			l.kind = lineInstr
 			l.norm = body
-			if i := strings.IndexByte(body, ' '); i >= 0 {
-				l.mnem = body[:i]
-			} else {
-				l.mnem = body
-			}
+			l.mnem = firstToken(body)
 		}
 		out = append(out, l)
+		if !more {
+			return out
+		}
+		src = rest
 	}
-	return out
+}
+
+// normalize returns strings.Join(strings.Fields(s), " "): s with its
+// whitespace runs collapsed to single spaces and trimmed. Generated
+// lines are already normalized but for their indentation, so the common
+// case returns a substring of s without allocating.
+func normalize(s string) string {
+	t := strings.TrimSpace(s)
+	for i := 0; i < len(t); i++ {
+		c := t[i]
+		// Trimmed, t cannot end in a space, so t[i+1] exists.
+		if c >= utf8.RuneSelf || asciiSpace(c) && (c != ' ' || asciiSpace(t[i+1])) {
+			return strings.Join(strings.Fields(s), " ")
+		}
+	}
+	return t
+}
+
+func asciiSpace(c byte) bool {
+	return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r'
+}
+
+// firstToken is the text of a normalized body up to its first space.
+func firstToken(body string) string {
+	if i := strings.IndexByte(body, ' '); i >= 0 {
+		return body[:i]
+	}
+	return body
 }
 
 // renderAsm joins lines back into text, dropping deleted entries.
 func renderAsm(lines []asmLine) string {
+	n := 0
+	for _, l := range lines {
+		n += len(l.raw) + 1
+	}
 	var b strings.Builder
+	b.Grow(n)
 	for i, l := range lines {
 		if l.kind == lineBlank && l.raw == "" && i == len(lines)-1 {
 			continue // preserve single trailing newline
@@ -90,13 +123,12 @@ func renderAsm(lines []asmLine) string {
 	return b.String()
 }
 
-// instrLine builds a fresh instruction line.
-func instrLine(body string) asmLine {
-	mnem := body
-	if i := strings.IndexByte(body, ' '); i >= 0 {
-		mnem = body[:i]
-	}
-	return asmLine{raw: "\t" + body, kind: lineInstr, norm: body, mnem: mnem}
+// instrLine builds a fresh instruction line from its normalized body,
+// given as parts to concatenate.
+func instrLine(parts ...string) asmLine {
+	raw := "\t" + strings.Join(parts, "")
+	body := raw[1:]
+	return asmLine{raw: raw, kind: lineInstr, norm: body, mnem: firstToken(body)}
 }
 
 // condBranches are the flag-reading branch mnemonics.
@@ -134,8 +166,7 @@ func flagsDeadAfter(lines []asmLine, i int) bool {
 			// Follow the unconditional branch to its (forward) label.
 			target := strings.TrimSpace(strings.TrimPrefix(l.norm, "b "))
 			for k := range lines {
-				if lines[k].kind == lineLabel &&
-					strings.TrimSuffix(strings.Join(strings.Fields(lines[k].raw), ""), ":") == target {
+				if lines[k].kind == lineLabel && lines[k].label == target {
 					if k <= j {
 						return false // backward edge: loop, give up
 					}
@@ -156,30 +187,108 @@ func flagsDeadAfter(lines []asmLine, i int) bool {
 	return false
 }
 
-// pattern is an anchored instruction regexp together with the
-// mnemonics it can match, so a line with any other mnemonic (labels and
-// directives have none) skips the regexp engine.
-type pattern struct {
-	re    *regexp.Regexp
-	mnems []string
-}
+// The instruction shapes the passes rewrite are matched by shape, on
+// the operand text that follows a line's mnemonic. Each matcher accepts
+// exactly what the regular expression in its comment matches on the
+// normalized body.
 
-// match returns the submatches of the line's normalized body, or nil.
-func (p pattern) match(l asmLine) []string {
-	if !slices.Contains(p.mnems, l.mnem) {
-		return nil
+// shape matches s against tmpl, in which %r stands for a register
+// (r\d+), %d for a decimal immediate (\d+) and %s for the non-empty rest
+// of s before tmpl's remaining literal text (.+); all other template
+// bytes must match literally. It returns the text each verb matched, in
+// order.
+func shape(s, tmpl string) (ops [3]string, ok bool) {
+	n := 0
+	for tmpl != "" {
+		if tmpl[0] != '%' {
+			if s == "" || s[0] != tmpl[0] {
+				return ops, false
+			}
+			s, tmpl = s[1:], tmpl[1:]
+			continue
+		}
+		verb := tmpl[1]
+		tmpl = tmpl[2:]
+		k := 0
+		switch verb {
+		case 'r':
+			if s == "" || s[0] != 'r' {
+				return ops, false
+			}
+			if k = 1 + digits(s[1:]); k == 1 {
+				return ops, false
+			}
+		case 'd':
+			if k = digits(s); k == 0 {
+				return ops, false
+			}
+		case 's':
+			if k = len(s) - len(tmpl); k < 1 || s[k:] != tmpl {
+				return ops, false
+			}
+		}
+		ops[n], s = s[:k], s[k:]
+		n++
 	}
-	return p.re.FindStringSubmatch(l.norm)
+	return ops, s == ""
 }
 
-var (
-	reAddSubImm = pattern{regexp.MustCompile(`^(adds|subs) (r\d+), #(\d+)$`), []string{"adds", "subs"}}
-	reMovsZero  = pattern{regexp.MustCompile(`^movs (r\d+), #0$`), []string{"movs"}}
-	reAcc3      = pattern{regexp.MustCompile(`^(adds|subs) (r\d+), (r\d+), (r\d+)$`), []string{"adds", "subs"}}
-	reStr       = pattern{regexp.MustCompile(`^str (r\d+), \[(r\d+)\]$`), []string{"str"}}
-	reAddImm    = pattern{regexp.MustCompile(`^adds (r\d+), #(\d+)$`), []string{"adds"}}
-	reStmia     = pattern{regexp.MustCompile(`^stmia (r\d+)!, \{(.+)\}$`), []string{"stmia"}}
-)
+// digits is the length of the run of decimal digits s starts with.
+func digits(s string) int {
+	n := 0
+	for n < len(s) && '0' <= s[n] && s[n] <= '9' {
+		n++
+	}
+	return n
+}
+
+// operands is the text after an instruction line's mnemonic.
+func (l asmLine) operands() string { return l.norm[len(l.mnem):] }
+
+// addSubImm matches `^(adds|subs) (r\d+), #(\d+)$`.
+func addSubImm(l asmLine) (op, reg, imm string, ok bool) {
+	if l.mnem != "adds" && l.mnem != "subs" {
+		return "", "", "", false
+	}
+	ops, ok := shape(l.operands(), " %r, #%d")
+	return l.mnem, ops[0], ops[1], ok
+}
+
+// movsZero matches `^movs (r\d+), #0$`.
+func movsZero(l asmLine) (reg string, ok bool) {
+	if l.mnem != "movs" {
+		return "", false
+	}
+	ops, ok := shape(l.operands(), " %r, #0")
+	return ops[0], ok
+}
+
+// acc3 matches `^(adds|subs) (r\d+), (r\d+), (r\d+)$`.
+func acc3(l asmLine) (op string, regs [3]string, ok bool) {
+	if l.mnem != "adds" && l.mnem != "subs" {
+		return "", regs, false
+	}
+	regs, ok = shape(l.operands(), " %r, %r, %r")
+	return l.mnem, regs, ok
+}
+
+// strReg matches `^str (r\d+), \[(r\d+)\]$`.
+func strReg(l asmLine) (rx, rc string, ok bool) {
+	if l.mnem != "str" {
+		return "", "", false
+	}
+	ops, ok := shape(l.operands(), " %r, [%r]")
+	return ops[0], ops[1], ok
+}
+
+// stmia matches `^stmia (r\d+)!, \{(.+)\}$`.
+func stmia(l asmLine) (rc, list string, ok bool) {
+	if l.mnem != "stmia" {
+		return "", "", false
+	}
+	ops, ok := shape(l.operands(), " %r!, {%s}")
+	return ops[0], ops[1], ok
+}
 
 // mentionsReg reports whether register name r occurs in s as a whole
 // word (the \b-delimited match, without compiling a pattern per call).
@@ -210,7 +319,7 @@ func readsReg(l asmLine, r string) bool {
 	if !mentionsReg(l.norm, r) {
 		return false
 	}
-	if m := reMovsZero.match(l); m != nil && m[1] == r {
+	if reg, ok := movsZero(l); ok && reg == r {
 		return false // pure write
 	}
 	return true
@@ -224,21 +333,20 @@ func readsReg(l asmLine, r string) bool {
 func coalesceAddSub(lines, out []asmLine) ([]asmLine, bool) {
 	changed := false
 	for i := 0; i < len(lines); i++ {
-		m := reAddSubImm.match(lines[i])
-		if lines[i].kind != lineInstr || m == nil {
+		_, reg, _, ok := addSubImm(lines[i])
+		if lines[i].kind != lineInstr || !ok {
 			out = append(out, lines[i])
 			continue
 		}
-		reg := m[2]
 		net := 0
 		j := i
 		for ; j < len(lines) && lines[j].kind == lineInstr; j++ {
-			mm := reAddSubImm.match(lines[j])
-			if mm == nil || mm[2] != reg {
+			op, r, imm, ok := addSubImm(lines[j])
+			if !ok || r != reg {
 				break
 			}
-			v, _ := strconv.Atoi(mm[3])
-			if mm[1] == "adds" {
+			v, _ := strconv.Atoi(imm)
+			if op == "adds" {
 				net += v
 			} else {
 				net -= v
@@ -259,7 +367,7 @@ func coalesceAddSub(lines, out []asmLine) ([]asmLine, bool) {
 			if step > 255 {
 				step = 255
 			}
-			repl = append(repl, instrLine(fmt.Sprintf("%s %s, #%d", op, reg, step)))
+			repl = append(repl, instrLine(op, " ", reg, ", #", strconv.Itoa(step)))
 			mag -= step
 		}
 		if len(repl) >= runLen {
@@ -304,11 +412,10 @@ func foldZeroInit(lines, out []asmLine) ([]asmLine, bool) {
 // reports true, and the caller drops line i. Scans only look forward of
 // i, so the lines already dropped never matter.
 func foldOneZeroInit(lines []asmLine, i int) bool {
-	mz := reMovsZero.match(lines[i])
-	if lines[i].kind != lineInstr || mz == nil {
+	reg, ok := movsZero(lines[i])
+	if lines[i].kind != lineInstr || !ok {
 		return false
 	}
-	reg := mz[1]
 	for j := i + 1; j < len(lines); j++ {
 		l := lines[j]
 		if l.kind == lineLabel || l.kind == lineDirective {
@@ -325,19 +432,20 @@ func foldOneZeroInit(lines []asmLine, i int) bool {
 		if !readsReg(l, reg) {
 			continue
 		}
-		acc := reAcc3.match(l)
-		if acc == nil || acc[2] != reg || acc[3] != reg || acc[4] == reg {
+		op, regs, ok := acc3(l)
+		rd, rn, rs := regs[0], regs[1], regs[2]
+		if !ok || rd != reg || rn != reg || rs == reg {
 			break // some other use: keep the init
 		}
-		if acc[1] == "adds" {
+		if op == "adds" {
 			// adds sets NZCV, mov sets nothing: need the flags dead.
 			if !flagsDeadAfter(lines, j) {
 				break
 			}
-			lines[j] = instrLine(fmt.Sprintf("mov %s, %s", reg, acc[4]))
+			lines[j] = instrLine("mov ", reg, ", ", rs)
 		} else {
 			// rsbs computes 0-rS with the same flags subs did.
-			lines[j] = instrLine(fmt.Sprintf("rsbs %s, %s", reg, acc[4]))
+			lines[j] = instrLine("rsbs ", reg, ", ", rs)
 		}
 		return true
 	}
@@ -352,8 +460,8 @@ func strengthReduceStores(lines, out []asmLine) ([]asmLine, bool) {
 	changed := false
 	for i := 0; i < len(lines); i++ {
 		if i+1 < len(lines) && storeIncrement(lines, i) {
-			st := reStr.match(lines[i])
-			out = append(out, instrLine(fmt.Sprintf("stmia %s!, {%s}", st[2], st[1])))
+			rx, rc, _ := strReg(lines[i])
+			out = append(out, instrLine("stmia ", rc, "!, {", rx, "}"))
 			i++ // the adds folded into the stmia
 			changed = true
 			continue
@@ -379,12 +487,12 @@ func strengthReduceStores(lines, out []asmLine) ([]asmLine, bool) {
 // storeIncrement reports whether lines i, i+1 are "str rX, [rC]" +
 // "adds rC, #4" with the adds' flags dead.
 func storeIncrement(lines []asmLine, i int) bool {
-	st := reStr.match(lines[i])
-	if lines[i].kind != lineInstr || st == nil || lines[i+1].kind != lineInstr {
+	rx, rc, ok := strReg(lines[i])
+	if lines[i].kind != lineInstr || !ok || lines[i+1].kind != lineInstr {
 		return false
 	}
-	ad := reAddImm.match(lines[i+1])
-	if ad == nil || ad[1] != st[2] || ad[2] != "4" || st[1] == st[2] {
+	op, reg, imm, ok := addSubImm(lines[i+1])
+	if !ok || op != "adds" || reg != rc || imm != "4" || rx == rc {
 		return false
 	}
 	return flagsDeadAfter(lines, i+1)
@@ -393,24 +501,24 @@ func storeIncrement(lines []asmLine, i int) bool {
 // mergeStmia merges two stmia on the same cursor whose register lists
 // stay ascending when concatenated.
 func mergeStmia(x, y asmLine) (asmLine, bool) {
-	a := reStmia.match(x)
-	b := reStmia.match(y)
-	if a == nil || b == nil || a[1] != b[1] {
+	ca, la, okA := stmia(x)
+	cb, lb, okB := stmia(y)
+	if !okA || !okB || ca != cb {
 		return asmLine{}, false
 	}
 	// Register lists must stay ascending for the merged STMIA.
-	lastA := strings.TrimSpace(a[2][strings.LastIndex(a[2], ",")+1:])
-	firstB := strings.TrimSpace(b[2])
+	lastA := strings.TrimSpace(la[strings.LastIndex(la, ",")+1:])
+	firstB := strings.TrimSpace(lb)
 	if i := strings.IndexByte(firstB, ','); i >= 0 {
 		firstB = firstB[:i]
 	}
 	na, _ := strconv.Atoi(strings.TrimPrefix(lastA, "r"))
 	nb, _ := strconv.Atoi(strings.TrimPrefix(firstB, "r"))
-	cursor, _ := strconv.Atoi(strings.TrimPrefix(a[1], "r"))
+	cursor, _ := strconv.Atoi(strings.TrimPrefix(ca, "r"))
 	if nb <= na || na == cursor || nb == cursor {
 		return asmLine{}, false
 	}
-	return instrLine(fmt.Sprintf("stmia %s!, {%s, %s}", a[1], a[2], b[2])), true
+	return instrLine("stmia ", ca, "!, {", la, ", ", lb, "}"), true
 }
 
 // Optimize applies the peephole passes to one generated kernel's text

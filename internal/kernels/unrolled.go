@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"github.com/neuro-c/neuroc/internal/encoding"
@@ -66,8 +67,11 @@ func Unrolled(name string, a *encoding.Matrix, factor int, inAddr, accAddr uint3
 
 	var b strings.Builder
 	bytes := 0 // emitted code bytes since the function label
-	instr := func(format string, args ...interface{}) {
-		fmt.Fprintf(&b, format, args...)
+	// instr emits one instruction line, given as parts to concatenate.
+	instr := func(parts ...string) {
+		for _, p := range parts {
+			b.WriteString(p)
+		}
 		bytes += 2 // every emitted instruction is a 16-bit Thumb encoding
 	}
 	poolPending := true
@@ -87,8 +91,8 @@ func Unrolled(name string, a *encoding.Matrix, factor int, inAddr, accAddr uint3
 
 	fmt.Fprintf(&b, "%s:\n", name)
 	instr("\tpush {r4-r7, lr}\n")
-	instr("\tldr r4, =0x%08x      @ input window base\n", inAddr)
-	instr("\tldr r2, =0x%08x      @ acc cursor\n", accAddr)
+	instr(fmt.Sprintf("\tldr r4, =0x%08x      @ input window base\n", inAddr))
+	instr(fmt.Sprintf("\tldr r2, =0x%08x      @ acc cursor\n", accAddr))
 
 	base := 0 // r4 = inAddr + base
 	// moveWindow repositions r4 so input i is reachable with a 5-bit
@@ -102,7 +106,7 @@ func Unrolled(name string, a *encoding.Matrix, factor int, inAddr, accAddr uint3
 				if step > 255 {
 					step = 255
 				}
-				instr("\tsubs r4, #%d\n", step)
+				instr("\tsubs r4, #", strconv.Itoa(step), "\n")
 				base -= step
 			}
 		}
@@ -111,7 +115,7 @@ func Unrolled(name string, a *encoding.Matrix, factor int, inAddr, accAddr uint3
 			if step > 255 {
 				step = 255
 			}
-			instr("\tadds r4, #%d\n", step)
+			instr("\tadds r4, #", strconv.Itoa(step), "\n")
 			base += step
 		}
 		return i - base
@@ -123,7 +127,7 @@ func Unrolled(name string, a *encoding.Matrix, factor int, inAddr, accAddr uint3
 			n = a.Out - g0
 		}
 		for j := 0; j < n; j++ {
-			instr("\tmovs %s, #0\n", unrollAccRegs[j])
+			instr("\tmovs ", unrollAccRegs[j], ", #0\n")
 		}
 		// Ascending sweep over the union support of the group's outputs:
 		// one gather per touched input, shared by every output in the
@@ -140,19 +144,19 @@ func Unrolled(name string, a *encoding.Matrix, factor int, inAddr, accAddr uint3
 			}
 			flushPool()
 			off := moveWindow(i)
-			instr("\tldrb r0, [r4, #%d]   @ asmcheck: load sram\n", off)
+			instr("\tldrb r0, [r4, #", strconv.Itoa(off), "]   @ asmcheck: load sram\n")
 			instr("\tsxtb r0, r0\n")
 			for j := 0; j < n; j++ {
 				switch w := a.At(g0+j, i); {
 				case w > 0:
-					instr("\tadds %s, %s, r0\n", unrollAccRegs[j], unrollAccRegs[j])
+					instr("\tadds ", unrollAccRegs[j], ", ", unrollAccRegs[j], ", r0\n")
 				case w < 0:
-					instr("\tsubs %s, %s, r0\n", unrollAccRegs[j], unrollAccRegs[j])
+					instr("\tsubs ", unrollAccRegs[j], ", ", unrollAccRegs[j], ", r0\n")
 				}
 			}
 		}
 		for j := 0; j < n; j++ {
-			instr("\tstr %s, [r2]\n", unrollAccRegs[j])
+			instr("\tstr ", unrollAccRegs[j], ", [r2]\n")
 			instr("\tadds r2, #4\n")
 		}
 		flushPool()

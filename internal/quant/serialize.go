@@ -130,6 +130,10 @@ func Load(r io.Reader) (*Model, error) {
 		if err != nil {
 			return nil, fmt.Errorf("quant: loading layer %d: %w", i, err)
 		}
+		if i > 0 && l.In != m.Layers[i-1].Out {
+			return nil, fmt.Errorf("quant: loading layer %d: input dim %d does not match layer %d output dim %d",
+				i, l.In, i-1, m.Layers[i-1].Out)
+		}
 		m.Layers = append(m.Layers, l)
 	}
 	return m, nil
@@ -187,6 +191,9 @@ func loadLayer(r io.Reader) (*Layer, error) {
 	}
 	if multCount != 1 && multCount != uint32(l.Out) {
 		return nil, fmt.Errorf("implausible multiplier count %d for %d outputs", multCount, l.Out)
+	}
+	if l.PerNeuron && multCount != uint32(l.Out) {
+		return nil, fmt.Errorf("per-neuron layer has %d multiplier(s) for %d outputs", multCount, l.Out)
 	}
 	l.Mults = make([]int32, multCount)
 	for i := range l.Mults {

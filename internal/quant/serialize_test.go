@@ -2,6 +2,7 @@ package quant
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"github.com/neuro-c/neuroc/internal/encoding"
@@ -137,5 +138,44 @@ func TestSaveLoadStripPerNeuron(t *testing.T) {
 	}
 	if loaded.Layers[0].PerNeuron || len(loaded.Layers[0].Mults) != 1 {
 		t.Error("stripped multiplier table not preserved")
+	}
+}
+
+// TestLoadRejectsInconsistentModels pins two inputs Load used to accept
+// although Infer then panicked: a per-neuron layer carrying a single
+// multiplier, and layers whose dimensions do not chain. Load must
+// reject each with an error naming the offending layer.
+func TestLoadRejectsInconsistentModels(t *testing.T) {
+	cases := []struct {
+		name, data, want string
+	}{
+		{
+			// One ternary 1->2 layer flagged per-neuron, one multiplier.
+			"per-neuron with one multiplier",
+			"NCQ1\x00\x00\x00\x00\x00\xc0\x5f\x40\x01\x00\x00\x00" +
+				"\x00\x03\x00\x07\x01\x00\x00\x00\x02\x00\x00\x00\x01" +
+				"\x01\x00\x00\x00\x5a\x00\x00\x00\x00\x00",
+			"layer 0",
+		},
+		{
+			// A ternary 1->2 layer followed by a 3->1 layer.
+			"dims do not chain",
+			"NCQ1\x00\x00\x00\x00\x00\xc0\x5f\x40\x02\x00\x00\x00" +
+				"\x00\x01\x00\x07\x01\x00\x00\x00\x02\x00\x00\x00\x01" +
+				"\x01\x00\x00\x00\x5a\x00\x00\x00\x00\x00" +
+				"\x00\x00\x00\x07\x03\x00\x00\x00\x01\x00\x00\x00\x01" +
+				"\x01\x00\x00\x00\x5a\x00\x00\x00",
+			"layer 1",
+		},
+	}
+	for _, tc := range cases {
+		m, err := Load(strings.NewReader(tc.data))
+		if err == nil {
+			t.Errorf("%s: accepted (layers %d)", tc.name, len(m.Layers))
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not name %s", tc.name, err, tc.want)
+		}
 	}
 }

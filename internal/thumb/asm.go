@@ -29,7 +29,6 @@ package thumb
 
 import (
 	"fmt"
-	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -132,32 +131,35 @@ type literal struct {
 	addr uint32 // assigned when the pool is flushed
 }
 
-// item is one assembled unit: an instruction, a data directive, padding,
-// or a literal pool.
+// item is one assembled unit: a label, an instruction, a data
+// directive, padding, or a literal pool.
 type item struct {
-	line  int
-	addr  uint32
-	size  int
-	mn    string   // instruction mnemonic ("" for data items)
-	args  []string // operands
-	data  []byte   // raw data for .byte/.hword/.space
-	exprs []string // expressions for .word (resolved pass 2)
-	width int      // element width for exprs (4 for .word, 2 for .hword, 1 for .byte)
-	lit       *literal // for "ldr rd, =expr"
-	pool      []*literal
-	align     int // alignment request (bytes) for align items and pools
-	loopBound int // "asmcheck: loop N" annotation (0 = none)
-	loadRegion string // "asmcheck: load <region>" annotation ("" = none)
+	line       int
+	addr       uint32
+	size       int
+	label      string     // label definition ("" for every other item)
+	mn         string     // instruction mnemonic ("" for data items)
+	args       []string   // operands
+	data       []byte     // raw data for .byte/.hword/.space
+	exprs      []string   // expressions for .word (resolved pass 2)
+	width      int        // element width for exprs (4 for .word, 2 for .hword, 1 for .byte)
+	lit        *literal   // for "ldr rd, =expr"
+	pool       []*literal // literals placed by this pool item
+	align      int        // alignment request (bytes) for align items and pools
+	loopBound  int        // "asmcheck: loop N" annotation (0 = none)
+	loadRegion string     // "asmcheck: load <region>" annotation ("" = none)
 }
 
 type assembler struct {
 	base        uint32
-	items       []*item
+	items       []item
+	operands    []string // backing store of every item's args and exprs
 	symbols     map[string]uint32
 	labels      map[string]int // label -> line defined (duplicate detection)
 	pending     []*literal
 	pendingLoop int    // loop annotation from a comment-only line, for the next instruction
 	pendingLoad string // load-region annotation carried the same way
+	instrs      int    // instruction items so far
 }
 
 // Assemble translates src into machine code loaded at base.
@@ -175,7 +177,7 @@ func Assemble(src string, base uint32) (*Program, error) {
 	}
 	// Flush any literals left at the end of the source.
 	if len(a.pending) > 0 {
-		a.items = append(a.items, &item{line: -1, pool: a.pending, align: 4})
+		a.items = append(a.items, item{line: -1, pool: a.pending, align: 4})
 		a.pending = nil
 	}
 	a.layout()
@@ -183,15 +185,14 @@ func Assemble(src string, base uint32) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Program{Base: base, Code: code, Symbols: a.symbols}
-	for _, it := range a.items {
-		if it.mn == "" || strings.HasPrefix(it.mn, "label:") {
-			continue
+	p := &Program{Base: base, Code: code, Symbols: a.symbols, Instrs: make([]InstrMeta, 0, a.instrs)}
+	for i := range a.items {
+		if it := &a.items[i]; it.mn != "" {
+			p.Instrs = append(p.Instrs, InstrMeta{
+				Addr: it.addr, Size: it.size, Line: it.line, Mn: it.mn,
+				LoopBound: it.loopBound, LoadRegion: it.loadRegion,
+			})
 		}
-		p.Instrs = append(p.Instrs, InstrMeta{
-			Addr: it.addr, Size: it.size, Line: it.line, Mn: it.mn,
-			LoopBound: it.loopBound, LoadRegion: it.loadRegion,
-		})
 	}
 	return p, nil
 }
@@ -210,16 +211,64 @@ func stripComment(line string) string {
 	return strings.TrimSpace(line)
 }
 
-// loopAnnRe matches the "asmcheck: loop N" annotation inside a comment.
-var loopAnnRe = regexp.MustCompile(`asmcheck:\s*loop\s+(\d+)`)
+// annotation finds the first "asmcheck: <kw> <arg>" annotation in raw,
+// where the regular expression `asmcheck:\s*<kw>\s+(<arg>)` would:
+// arg is the longest non-empty run of bytes isArg accepts. It returns
+// the arg, or ok=false when no annotation matches.
+func annotation(raw, kw string, isArg func(byte) bool) (arg string, ok bool) {
+	const tag = "asmcheck:"
+	for i := 0; ; {
+		j := strings.Index(raw[i:], tag)
+		if j < 0 {
+			return "", false
+		}
+		i += j + len(tag)
+		k := skipSpace(raw, i)
+		if !strings.HasPrefix(raw[k:], kw) {
+			continue
+		}
+		k += len(kw)
+		start := skipSpace(raw, k)
+		end := start
+		for end < len(raw) && isArg(raw[end]) {
+			end++
+		}
+		if start > k && end > start {
+			return raw[start:end], true
+		}
+	}
+}
 
-// loadAnnRe matches the "asmcheck: load <region>" annotation.
-var loadAnnRe = regexp.MustCompile(`asmcheck:\s*load\s+(\w+)`)
+// skipSpace returns the index of the first byte at or after i that is
+// not regexp \s whitespace (tab, newline, form feed, carriage return,
+// space).
+func skipSpace(s string, i int) int {
+	for i < len(s) {
+		switch s[i] {
+		case '\t', '\n', '\f', '\r', ' ':
+			i++
+		default:
+			return i
+		}
+	}
+	return i
+}
 
-// splitOperands splits an operand string on commas that are not inside
-// [] or {} groups.
-func splitOperands(s string) []string {
-	var out []string
+func isDigit(c byte) bool { return '0' <= c && c <= '9' }
+
+func isWordByte(c byte) bool {
+	return isDigit(c) || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || c == '_'
+}
+
+// loopAnnotation finds the "asmcheck: loop N" annotation of a source
+// line, and loadAnnotation its "asmcheck: load <region>" annotation.
+func loopAnnotation(raw string) (string, bool) { return annotation(raw, "loop", isDigit) }
+func loadAnnotation(raw string) (string, bool) { return annotation(raw, "load", isWordByte) }
+
+// splitOperands appends the operands of s to dst: s is split on commas
+// that are not inside [] or {} groups, and each operand trimmed.
+func splitOperands(dst []string, s string) []string {
+	n := len(dst)
 	depth := 0
 	start := 0
 	for i := 0; i < len(s); i++ {
@@ -230,94 +279,116 @@ func splitOperands(s string) []string {
 			depth--
 		case ',':
 			if depth == 0 {
-				out = append(out, strings.TrimSpace(s[start:i]))
+				dst = append(dst, strings.TrimSpace(s[start:i]))
 				start = i + 1
 			}
 		}
 	}
 	last := strings.TrimSpace(s[start:])
-	if last != "" || len(out) > 0 {
-		out = append(out, last)
+	if last != "" || len(dst) > n {
+		dst = append(dst, last)
 	}
-	return out
+	return dst
+}
+
+// operandsOf splits s into the assembler's shared operand store and
+// returns the operands as a slice of their own.
+func (a *assembler) operandsOf(s string) []string {
+	n := len(a.operands)
+	a.operands = splitOperands(a.operands, s)
+	return a.operands[n:len(a.operands):len(a.operands)]
 }
 
 func (a *assembler) parse(src string) error {
-	for lineNo, raw := range strings.Split(src, "\n") {
-		line := stripComment(raw)
-		ln := lineNo + 1
-		if m := loopAnnRe.FindStringSubmatch(raw); m != nil {
-			n, err := strconv.Atoi(m[1])
-			if err != nil || n <= 0 {
-				return errf(ln, "bad asmcheck loop bound %q", m[1])
-			}
-			// Attach to the instruction on this line, or carry to the
-			// next one when the annotation sits on its own line.
-			a.pendingLoop = n
+	// A line holds at most one instruction or directive, so the line
+	// count bounds the items but for extra labels, and it plus the
+	// comma count bounds the operands.
+	lines := strings.Count(src, "\n") + 1
+	a.items = make([]item, 0, lines)
+	a.operands = make([]string, 0, lines+strings.Count(src, ","))
+	for ln := 1; ; ln++ {
+		raw, rest, more := strings.Cut(src, "\n")
+		if err := a.parseLine(ln, raw); err != nil {
+			return err
 		}
-		if m := loadAnnRe.FindStringSubmatch(raw); m != nil {
-			switch m[1] {
-			case "flash", "sram", "periph":
-				a.pendingLoad = m[1]
-			default:
-				return errf(ln, "bad asmcheck load region %q (want flash, sram, or periph)", m[1])
-			}
+		if !more {
+			return nil
 		}
-		for line != "" {
-			// Labels (possibly several) at the start of the line.
-			if i := strings.IndexByte(line, ':'); i >= 0 && isLabel(line[:i]) {
-				name := line[:i]
-				if _, dup := a.labels[name]; dup {
-					return errf(ln, "duplicate label %q (first defined at line %d)", name, a.labels[name])
-				}
-				a.labels[name] = ln
-				a.items = append(a.items, &item{line: ln, mn: "label:" + name})
-				line = strings.TrimSpace(line[i+1:])
-				continue
-			}
-			break
-		}
-		if line == "" {
-			continue
-		}
-		fields := strings.SplitN(line, " ", 2)
-		mn := strings.ToLower(strings.TrimSpace(fields[0]))
-		rest := ""
-		if len(fields) == 2 {
-			rest = strings.TrimSpace(fields[1])
-		}
-		if strings.HasPrefix(mn, ".") {
-			if err := a.parseDirective(ln, mn, rest); err != nil {
-				return err
-			}
-			continue
-		}
-		args := splitOperands(rest)
-		it := &item{line: ln, mn: mn, args: args, size: 2, loopBound: a.pendingLoop, loadRegion: a.pendingLoad}
-		a.pendingLoop = 0
-		a.pendingLoad = ""
-		switch mn {
-		case "bl":
-			it.size = 4
-		case "ldr":
-			// "ldr rd, =expr" goes through the literal pool.
-			if len(args) == 2 && strings.HasPrefix(args[1], "=") {
-				lit := &literal{expr: strings.TrimSpace(args[1][1:]), line: ln}
-				// Reuse an identical pending literal.
-				for _, p := range a.pending {
-					if p.expr == lit.expr {
-						lit = p
-						break
-					}
-				}
-				if lit.addr == 0 && !containsLit(a.pending, lit) {
-					a.pending = append(a.pending, lit)
-				}
-				it.lit = lit
-			}
-		}
-		a.items = append(a.items, it)
+		src = rest
 	}
+}
+
+// parseLine parses source line ln (1-based).
+func (a *assembler) parseLine(ln int, raw string) error {
+	line := stripComment(raw)
+	if m, ok := loopAnnotation(raw); ok {
+		n, err := strconv.Atoi(m)
+		if err != nil || n <= 0 {
+			return errf(ln, "bad asmcheck loop bound %q", m)
+		}
+		// Attach to the instruction on this line, or carry to the
+		// next one when the annotation sits on its own line.
+		a.pendingLoop = n
+	}
+	if m, ok := loadAnnotation(raw); ok {
+		switch m {
+		case "flash", "sram", "periph":
+			a.pendingLoad = m
+		default:
+			return errf(ln, "bad asmcheck load region %q (want flash, sram, or periph)", m)
+		}
+	}
+	for line != "" {
+		// Labels (possibly several) at the start of the line.
+		if i := strings.IndexByte(line, ':'); i >= 0 && isLabel(line[:i]) {
+			name := line[:i]
+			if _, dup := a.labels[name]; dup {
+				return errf(ln, "duplicate label %q (first defined at line %d)", name, a.labels[name])
+			}
+			a.labels[name] = ln
+			a.items = append(a.items, item{line: ln, label: name})
+			line = strings.TrimSpace(line[i+1:])
+			continue
+		}
+		break
+	}
+	if line == "" {
+		return nil
+	}
+	mn, rest := line, ""
+	if i := strings.IndexByte(line, ' '); i >= 0 {
+		mn, rest = line[:i], strings.TrimSpace(line[i+1:])
+	}
+	mn = strings.ToLower(strings.TrimSpace(mn))
+	if strings.HasPrefix(mn, ".") {
+		return a.parseDirective(ln, mn, rest)
+	}
+	args := a.operandsOf(rest)
+	it := item{line: ln, mn: mn, args: args, size: 2, loopBound: a.pendingLoop, loadRegion: a.pendingLoad}
+	a.pendingLoop = 0
+	a.pendingLoad = ""
+	switch mn {
+	case "bl":
+		it.size = 4
+	case "ldr":
+		// "ldr rd, =expr" goes through the literal pool.
+		if len(args) == 2 && strings.HasPrefix(args[1], "=") {
+			lit := &literal{expr: strings.TrimSpace(args[1][1:]), line: ln}
+			// Reuse an identical pending literal.
+			for _, p := range a.pending {
+				if p.expr == lit.expr {
+					lit = p
+					break
+				}
+			}
+			if lit.addr == 0 && !containsLit(a.pending, lit) {
+				a.pending = append(a.pending, lit)
+			}
+			it.lit = lit
+		}
+	}
+	a.items = append(a.items, it)
+	a.instrs++
 	return nil
 }
 
@@ -354,43 +425,43 @@ func (a *assembler) parseDirective(ln int, mn, rest string) error {
 		".cpu", ".type", ".size", ".code", ".arch", ".file", ".section":
 		return nil // housekeeping, ignored
 	case ".word", ".long", ".int":
-		exprs := splitOperands(rest)
+		exprs := a.operandsOf(rest)
 		if len(exprs) == 0 {
 			return errf(ln, "%s needs at least one value", mn)
 		}
-		a.items = append(a.items, &item{line: ln, exprs: exprs, width: 4, size: 4 * len(exprs)})
+		a.items = append(a.items, item{line: ln, exprs: exprs, width: 4, size: 4 * len(exprs)})
 		return nil
 	case ".hword", ".short", ".2byte":
-		exprs := splitOperands(rest)
+		exprs := a.operandsOf(rest)
 		if len(exprs) == 0 {
 			return errf(ln, "%s needs at least one value", mn)
 		}
-		a.items = append(a.items, &item{line: ln, exprs: exprs, width: 2, size: 2 * len(exprs)})
+		a.items = append(a.items, item{line: ln, exprs: exprs, width: 2, size: 2 * len(exprs)})
 		return nil
 	case ".byte":
-		exprs := splitOperands(rest)
+		exprs := a.operandsOf(rest)
 		if len(exprs) == 0 {
 			return errf(ln, ".byte needs at least one value")
 		}
-		a.items = append(a.items, &item{line: ln, exprs: exprs, width: 1, size: len(exprs)})
+		a.items = append(a.items, item{line: ln, exprs: exprs, width: 1, size: len(exprs)})
 		return nil
 	case ".space", ".skip", ".zero":
-		n, err := parseNumber(rest)
-		if err != nil || n < 0 {
+		n, ok := parseNumber(rest)
+		if !ok || n < 0 {
 			return errf(ln, "bad .space size %q", rest)
 		}
-		a.items = append(a.items, &item{line: ln, data: make([]byte, n), size: int(n)})
+		a.items = append(a.items, item{line: ln, data: make([]byte, n), size: int(n)})
 		return nil
 	case ".align", ".balign":
-		n, err := parseNumber(rest)
-		if err != nil || n <= 0 || n&(n-1) != 0 {
+		n, ok := parseNumber(rest)
+		if !ok || n <= 0 || n&(n-1) != 0 {
 			return errf(ln, ".align needs a power-of-two byte alignment, got %q", rest)
 		}
-		a.items = append(a.items, &item{line: ln, align: int(n)})
+		a.items = append(a.items, item{line: ln, align: int(n)})
 		return nil
 	case ".pool", ".ltorg":
 		if len(a.pending) > 0 {
-			a.items = append(a.items, &item{line: ln, pool: a.pending, align: 4})
+			a.items = append(a.items, item{line: ln, pool: a.pending, align: 4})
 			a.pending = nil
 		}
 		return nil
@@ -404,9 +475,10 @@ func (a *assembler) parseDirective(ln int, mn, rest string) error {
 // from the current address.
 func (a *assembler) layout() {
 	addr := a.base
-	for _, it := range a.items {
-		if strings.HasPrefix(it.mn, "label:") {
-			a.symbols[strings.TrimPrefix(it.mn, "label:")] = addr
+	for i := range a.items {
+		it := &a.items[i]
+		if it.label != "" {
+			a.symbols[it.label] = addr
 			continue
 		}
 		if it.align != 0 && it.pool == nil { // .align
@@ -434,8 +506,8 @@ func (a *assembler) layout() {
 // encodeAll is pass 2.
 func (a *assembler) encodeAll() ([]byte, error) {
 	var end uint32 = a.base
-	for _, it := range a.items {
-		if e := it.addr + uint32(it.size); e > end {
+	for i := range a.items {
+		if e := a.items[i].addr + uint32(a.items[i].size); e > end {
 			end = e
 		}
 	}
@@ -445,9 +517,10 @@ func (a *assembler) encodeAll() ([]byte, error) {
 		code[off] = byte(v)
 		code[off+1] = byte(v >> 8)
 	}
-	for _, it := range a.items {
+	for i := range a.items {
+		it := &a.items[i]
 		switch {
-		case strings.HasPrefix(it.mn, "label:"):
+		case it.label != "":
 			continue
 		case it.pool != nil:
 			for _, l := range it.pool {
@@ -500,17 +573,17 @@ func (a *assembler) eval(expr string, line int) (uint32, error) {
 	if expr == "" {
 		return 0, errf(line, "empty expression")
 	}
-	// Tokenize on +/- while respecting a leading sign.
+	// Tokenize on +/- while respecting a leading sign. The current
+	// token is expr[start:i].
 	var total int64
 	sign := int64(1)
-	tok := strings.Builder{}
-	flush := func() error {
-		t := strings.TrimSpace(tok.String())
-		tok.Reset()
+	start := 0
+	flush := func(i int) error {
+		t := strings.TrimSpace(expr[start:i])
 		if t == "" {
 			return errf(line, "malformed expression %q", expr)
 		}
-		if n, err := parseNumber(t); err == nil {
+		if n, ok := parseNumber(t); ok {
 			total += sign * n
 			return nil
 		}
@@ -522,8 +595,8 @@ func (a *assembler) eval(expr string, line int) (uint32, error) {
 	}
 	for i := 0; i < len(expr); i++ {
 		ch := expr[i]
-		if (ch == '+' || ch == '-') && tok.Len() > 0 {
-			if err := flush(); err != nil {
+		if (ch == '+' || ch == '-') && i > start {
+			if err := flush(i); err != nil {
 				return 0, err
 			}
 			if ch == '+' {
@@ -531,24 +604,25 @@ func (a *assembler) eval(expr string, line int) (uint32, error) {
 			} else {
 				sign = -1
 			}
+			start = i + 1
 			continue
 		}
-		if (ch == '-' || ch == '+') && tok.Len() == 0 {
+		if ch == '-' || ch == '+' {
 			if ch == '-' {
 				sign = -sign
 			}
+			start = i + 1
 			continue
 		}
-		tok.WriteByte(ch)
 	}
-	if err := flush(); err != nil {
+	if err := flush(len(expr)); err != nil {
 		return 0, err
 	}
 	return uint32(total), nil
 }
 
 // parseNumber parses decimal, 0x hex, 0b binary, and character literals.
-func parseNumber(s string) (int64, error) {
+func parseNumber(s string) (int64, bool) {
 	s = strings.TrimSpace(s)
 	neg := false
 	if strings.HasPrefix(s, "-") {
@@ -556,20 +630,22 @@ func parseNumber(s string) (int64, error) {
 		s = s[1:]
 	}
 	if s == "" {
-		return 0, fmt.Errorf("empty number")
+		return 0, false
 	}
 	var v uint64
-	var err error
 	switch {
 	case strings.HasPrefix(s, "0x") || strings.HasPrefix(s, "0X"):
-		_, err = fmt.Sscanf(s[2:], "%x", &v)
-		if err == nil && !allHex(s[2:]) {
-			err = fmt.Errorf("bad hex")
+		if !allHex(s[2:]) {
+			return 0, false
+		}
+		var err error
+		if v, err = strconv.ParseUint(s[2:], 16, 64); err != nil {
+			return 0, false
 		}
 	case strings.HasPrefix(s, "0b") || strings.HasPrefix(s, "0B"):
 		for _, r := range s[2:] {
 			if r != '0' && r != '1' {
-				return 0, fmt.Errorf("bad binary digit %q", r)
+				return 0, false
 			}
 			v = v<<1 | uint64(r-'0')
 		}
@@ -578,19 +654,16 @@ func parseNumber(s string) (int64, error) {
 	default:
 		for _, r := range s {
 			if r < '0' || r > '9' {
-				return 0, fmt.Errorf("bad decimal digit %q", r)
+				return 0, false
 			}
 			v = v*10 + uint64(r-'0')
 		}
-	}
-	if err != nil {
-		return 0, err
 	}
 	n := int64(v)
 	if neg {
 		n = -n
 	}
-	return n, nil
+	return n, true
 }
 
 func allHex(s string) bool {

@@ -89,19 +89,19 @@ func (a *assembler) parseMem(s string, line int) (memOperand, error) {
 	if !strings.HasPrefix(s, "[") || !strings.HasSuffix(s, "]") {
 		return memOperand{}, errf(line, "expected memory operand, got %q", s)
 	}
-	parts := strings.Split(s[1:len(s)-1], ",")
+	first, second, hasOff := strings.Cut(s[1:len(s)-1], ",")
 	m := memOperand{offReg: -1}
-	m.base = parseReg(parts[0])
+	m.base = parseReg(first)
 	if m.base < 0 {
 		return memOperand{}, errf(line, "bad base register in %q", s)
 	}
-	if len(parts) == 1 {
+	if !hasOff {
 		return m, nil
 	}
-	if len(parts) != 2 {
+	if strings.Contains(second, ",") {
 		return memOperand{}, errf(line, "bad memory operand %q", s)
 	}
-	second := strings.TrimSpace(parts[1])
+	second = strings.TrimSpace(second)
 	if r := parseReg(second); r >= 0 {
 		m.offReg = r
 		return m, nil
