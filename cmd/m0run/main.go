@@ -41,14 +41,11 @@
 //	m0run -model model.ncq1 -batch inputs.raw -checked
 //
 // Execution tiers (see docs/EMULATOR.md): -tier pins the emulator tier
-// (auto, legacy, predecoded, translated). All tiers are bit-identical;
-// they differ only in host speed. Combinations that cannot honor the
-// requested tier are audited up front: tracing flags downgrade
-// -tier translated with a stderr notice, and meaningless combinations
-// (-tier translated -checked) are rejected:
+// (auto, legacy, predecoded). All tiers are bit-identical; they differ
+// only in host speed:
 //
-//	m0run -model model.ncq1 -tier translated
-//	m0run -model model.ncq1 -batch inputs.raw -tier translated -j 8
+//	m0run -model model.ncq1 -tier legacy
+//	m0run -model model.ncq1 -batch inputs.raw -tier predecoded -j 8
 package main
 
 import (
@@ -95,7 +92,7 @@ func main() {
 	layers := flag.Bool("layers", false, "build with on-device telemetry markers and print per-layer cycle attribution (requires -model; with -batch, aggregated across the batch)")
 	energyRep := flag.Bool("energy", false, "price the measured cycles with the board's calibrated energy model and print a per-layer µJ report (requires -model; implies telemetry markers; with -batch, aggregated across the batch)")
 	energyJSON := flag.String("energy-json", "", "write the neuroc-energy/v1 report as JSON to this file (requires -energy)")
-	tierFlag := flag.String("tier", "auto", "execution tier: auto (fastest available), legacy, predecoded, or translated (requires a certified image)")
+	tierFlag := flag.String("tier", "auto", "execution tier: auto (fastest available), legacy, or predecoded")
 	batch := flag.String("batch", "", "raw file of concatenated input records (model input dim each): run all of them on the board farm (requires -model)")
 	workers := flag.Int("j", 0, "board-farm workers for -batch (0 = all host cores); results are bit-identical for any value")
 	listen := flag.String("listen", "", "serve live batch metrics over HTTP on this address while -batch runs (/metrics Prometheus text, /metrics.json snapshot)")
@@ -136,13 +133,6 @@ func main() {
 		fatal(err)
 	}
 	profiling := *prof || *traceN > 0 || *folded != "" || *profJSON != ""
-	effTier, tierNotices, err := tierAudit(tier, *checked, profiling, *model != "")
-	if err != nil {
-		fatal(err)
-	}
-	for _, n := range tierNotices {
-		fmt.Fprintln(os.Stderr, "m0run:", n)
-	}
 	if *batch != "" {
 		if conflicts := batchFlagConflicts(*prof, *traceN, *folded, *profJSON, *in, *dumpAddr); len(conflicts) != 0 {
 			fatal(fmt.Errorf("-batch is incompatible with %s: the farm runs boards in parallel without "+
@@ -193,7 +183,7 @@ func main() {
 		if image == nil {
 			fatal(fmt.Errorf("-batch requires -model (the input record size is the model's input dimension)"))
 		}
-		runBatch(image, *batch, *workers, *maxInstr, *ws, effTier, *checked, *energyRep, *energyJSON, *timelineFlag, *listen)
+		runBatch(image, *batch, *workers, *maxInstr, *ws, tier, *checked, *energyRep, *energyJSON, *timelineFlag, *listen)
 		return
 	}
 
@@ -206,25 +196,7 @@ func main() {
 		cpu.EnableTimer()
 	}
 
-	switch effTier {
-	case device.TierLegacy:
-		cpu.DisablePredecode = true
-	case device.TierPredecoded:
-		cpu.DisableTranslation = true
-	case device.TierAuto, device.TierTranslated:
-		// Attach the certificate-derived superblock translation table
-		// when the image carries one; tierAudit has already rejected or
-		// downgraded every combination where it could not be honored.
-		if image != nil && image.Cert != nil && !profiling && !*checked {
-			if tt := cert.Translate(image.Cert, cpu.PredecodeNow()); tt != nil {
-				cpu.UseTranslation(tt)
-			} else if effTier == device.TierTranslated {
-				fatal(fmt.Errorf("-tier translated: the image certificate did not yield a translation table"))
-			}
-		} else if effTier == device.TierTranslated {
-			fatal(fmt.Errorf("-tier translated requires a certified image (-model)"))
-		}
-	}
+	cpu.DisablePredecode = tier == device.TierLegacy
 
 	var trace *armv6m.Trace
 	if profiling || *checked {
@@ -438,40 +410,9 @@ func runTierName(cpu *armv6m.CPU, traced bool) string {
 		return "legacy"
 	case traced:
 		return "predecoded (tracing interpreter)"
-	case cpu.TranslationAttached() && !cpu.DisableTranslation:
-		return "translated"
 	default:
 		return "predecoded"
 	}
-}
-
-// tierAudit validates -tier against the observability flags before
-// anything runs, the same way batchFlagConflicts audits -batch. Three
-// outcomes: the tier is honored; it is downgraded with a stderr notice
-// when a tracing flag forces the stepping interpreter (which cannot
-// retire through the translated tier); or the combination is rejected
-// outright as meaningless. Pure so main_test.go can table-test it.
-func tierAudit(tier device.Tier, checked, profiling, haveModel bool) (device.Tier, []string, error) {
-	if tier != device.TierTranslated {
-		return tier, nil, nil
-	}
-	if checked {
-		return "", nil, fmt.Errorf("-tier translated is incompatible with -checked: checked execution " +
-			"validates the tracing interpreter against the very certificate the translated tier is " +
-			"compiled from; drop one of the flags")
-	}
-	if !haveModel {
-		return "", nil, fmt.Errorf("-tier translated requires -model: raw -img files carry no " +
-			"neuroc-cert/v1 certificate to translate")
-	}
-	if profiling {
-		return device.TierPredecoded, []string{
-			"-trace/-profile/-folded/-profile-json retire through the tracing interpreter; running on " +
-				"the predecoded tier, NOT the requested translated tier (reported host MIPS are the " +
-				"traced path's)",
-		}, nil
-	}
-	return tier, nil, nil
 }
 
 // batchFlagConflicts lists the single-run observability flags that are

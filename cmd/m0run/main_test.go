@@ -1,12 +1,27 @@
 package main
 
 import (
+	"errors"
+	"os"
+	"os/exec"
 	"reflect"
 	"strings"
 	"testing"
-
-	"github.com/neuro-c/neuroc/internal/device"
 )
+
+// mainArg, as the first argument of the test binary, makes it run
+// main() on the remaining arguments instead of the tests, so exit-code
+// tests can drive the real command line in a child process.
+const mainArg = "m0run-main"
+
+func TestMain(m *testing.M) {
+	if len(os.Args) > 1 && os.Args[1] == mainArg {
+		os.Args = os.Args[1:]
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
 
 // -batch used to silently ignore the single-run observability flags;
 // they must now be reported as conflicts so the caller gets a clear
@@ -25,45 +40,25 @@ func TestBatchFlagConflicts(t *testing.T) {
 	}
 }
 
-// -tier combinations that silently change the executing tier must be
-// audited: meaningless combinations are hard errors, tracing flags
-// downgrade an explicit translated request with a notice, and everything
-// else passes through untouched.
-func TestTierAudit(t *testing.T) {
-	cases := []struct {
-		name                      string
-		tier                      device.Tier
-		checked, profiling, model bool
-		wantTier                  device.Tier
-		wantNotice, wantErr       bool
-		wantErrSub                string
-	}{
-		{name: "auto passes", tier: device.TierAuto, model: true, wantTier: device.TierAuto},
-		{name: "legacy with tracing passes", tier: device.TierLegacy, profiling: true, wantTier: device.TierLegacy},
-		{name: "predecoded with checked passes", tier: device.TierPredecoded, checked: true, model: true, wantTier: device.TierPredecoded},
-		{name: "translated honored", tier: device.TierTranslated, model: true, wantTier: device.TierTranslated},
-		{name: "translated+checked rejected", tier: device.TierTranslated, checked: true, model: true, wantErr: true, wantErrSub: "-checked"},
-		{name: "translated without model rejected", tier: device.TierTranslated, wantErr: true, wantErrSub: "-model"},
-		{name: "translated+tracing downgraded with notice", tier: device.TierTranslated, profiling: true, model: true, wantTier: device.TierPredecoded, wantNotice: true},
+// -tier translated named an execution tier that no longer exists: it
+// must fail like any unknown tier, with the valid tiers listed, before
+// any file is read — not panic.
+func TestRemovedTierRejected(t *testing.T) {
+	cmd := exec.Command(os.Args[0], mainArg, "-img", "missing.bin", "-tier", "translated")
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var ee *exec.ExitError
+	if err != nil && !errors.As(err, &ee) {
+		t.Fatalf("running m0run: %v", err)
 	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			got, notices, err := tierAudit(c.tier, c.checked, c.profiling, c.model)
-			if c.wantErr {
-				if err == nil || !strings.Contains(err.Error(), c.wantErrSub) {
-					t.Fatalf("want error mentioning %q, got %v", c.wantErrSub, err)
-				}
-				return
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != c.wantTier {
-				t.Errorf("effective tier %q, want %q", got, c.wantTier)
-			}
-			if (len(notices) > 0) != c.wantNotice {
-				t.Errorf("notices %v, wantNotice=%v", notices, c.wantNotice)
-			}
-		})
+	if code := cmd.ProcessState.ExitCode(); code != 1 {
+		t.Errorf("exit code %d, want 1 (stderr: %s)", code, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), `unknown tier "translated" (want auto, legacy, or predecoded)`) {
+		t.Errorf("stderr does not name the valid tiers: %q", stderr.String())
+	}
+	if strings.Contains(stderr.String(), "panic") {
+		t.Errorf("m0run panicked: %s", stderr.String())
 	}
 }

@@ -90,7 +90,7 @@ func main() {
 	list := flag.Bool("list", false, "list experiments and exit")
 	metrics := flag.String("metrics", "", "write structured per-experiment metrics JSON to this file")
 	workers := flag.Int("j", 0, "board-farm workers for device measurements (0 = all host cores); results are bit-identical for any value")
-	tierFlag := flag.String("tier", "auto", "emulator execution tier for device measurements (auto, legacy, predecoded, translated); results are bit-identical for any tier")
+	tierFlag := flag.String("tier", "auto", "emulator execution tier for device measurements (auto, legacy, predecoded); results are bit-identical for any tier")
 	encFlag := flag.String("encoding", "block", "deployment encoding for model experiments (block, csc, delta, mixed, unrolled, auto)")
 	cpuprofile := flag.String("cpuprofile", "", "write a host pprof CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a host pprof heap profile to this file on exit")

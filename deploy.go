@@ -30,10 +30,10 @@ type Deployment struct {
 	Workers int
 
 	// Tier pins the emulator execution tier for batch evaluations
-	// (device.Tier: legacy, predecoded, or translated). The zero value
-	// keeps the fastest available tier. Profile always retires through
-	// the tracing interpreter regardless of Tier — cycle-attribution
-	// needs per-instruction hooks the translated tier cannot provide.
+	// (device.Tier: legacy or predecoded). The zero value keeps the
+	// fastest available tier. Profile always retires through the
+	// tracing interpreter regardless of Tier — cycle attribution needs
+	// its per-instruction hooks.
 	Tier device.Tier
 
 	// Observe, when non-nil, is passed to every batch evaluation's farm

@@ -98,18 +98,6 @@ type CPU struct {
 	// interpreter. The differential tests run a legacy core with this
 	// set against a predecoded one and require bit-identical state.
 	DisablePredecode bool
-
-	// ttab is the certificate-derived superblock translation table
-	// (see translate.go), attached via UseTranslation; ttabGen is the
-	// Bus.flashGen it was built against. Unlike the predecode table it
-	// is never rebuilt lazily — a stale generation simply drops the
-	// run to the predecoded tier.
-	ttab    *TranslationTable
-	ttabGen uint32
-	// DisableTranslation keeps Run on the predecoded tier even when a
-	// translation table is attached; the differential tests pin the
-	// translated tier against it.
-	DisableTranslation bool
 }
 
 // New returns a CPU wired to a fresh STM32F072-like bus with the
@@ -401,9 +389,6 @@ func (e *BudgetError) Error() string {
 // identical and remains for traced and predecode-disabled runs.
 func (c *CPU) Run(maxInstructions uint64) error {
 	if c.Trace == nil && !c.DisablePredecode {
-		if c.ttab != nil && !c.DisableTranslation {
-			return c.runTranslated(maxInstructions)
-		}
 		return c.runPredecoded(maxInstructions)
 	}
 	for i := uint64(0); i < maxInstructions; i++ {

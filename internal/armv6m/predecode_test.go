@@ -1,6 +1,8 @@
 package armv6m_test
 
 import (
+	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -304,34 +306,98 @@ func TestPredecodeSharedTableParity(t *testing.T) {
 	}
 }
 
-// TestPredecodeRunParity drives whole runs through Run — which uses the
-// hoisted steady-state loop, not Step — against legacy Run, over every
-// kernel variant and a SysTick-preempted loop, comparing final state.
-func TestPredecodeRunParity(t *testing.T) {
-	finish := func(t *testing.T, fast, legacy *armv6m.CPU) {
-		t.Helper()
-		errFast, errLegacy := fast.Run(3_000_000), legacy.Run(3_000_000)
-		if errStr(errFast) != errStr(errLegacy) {
-			t.Fatalf("run error diverged: %v vs %v", errFast, errLegacy)
-		}
-		compareState(t, -1, fast, legacy)
-		for i := range fast.Bus.SRAM {
-			if fast.Bus.SRAM[i] != legacy.Bus.SRAM[i] {
-				t.Fatalf("SRAM diverged at +0x%x", i)
-			}
+// bootRunPair boots src on a predecoded and a legacy core at ws flash
+// wait states, with the telemetry peripheral mapped when asked.
+func bootRunPair(t *testing.T, src string, ws int, telemetry bool) (fast, legacy *armv6m.CPU) {
+	t.Helper()
+	fast, legacy = bootPair(t, src)
+	for _, c := range []*armv6m.CPU{fast, legacy} {
+		c.Bus.FlashWaitStates = ws
+		if telemetry {
+			c.EnableTimer()
 		}
 	}
+	return fast, legacy
+}
+
+// finishRuns runs both cores through Run under the same instruction
+// budget and requires the same outcome — error text and BudgetError
+// classification — and bit-identical final state, SRAM, and telemetry.
+func finishRuns(t *testing.T, fast, legacy *armv6m.CPU, budget uint64) {
+	t.Helper()
+	errFast, errLegacy := fast.Run(budget), legacy.Run(budget)
+	var bf, bl *armv6m.BudgetError
+	if errStr(errFast) != errStr(errLegacy) || errors.As(errFast, &bf) != errors.As(errLegacy, &bl) {
+		t.Fatalf("run error diverged: %v vs %v", errFast, errLegacy)
+	}
+	compareState(t, -1, fast, legacy)
+	for i := range fast.Bus.SRAM {
+		if fast.Bus.SRAM[i] != legacy.Bus.SRAM[i] {
+			t.Fatalf("SRAM diverged at +0x%x", i)
+		}
+	}
+	ft, lt := fast.Bus.Timer, legacy.Bus.Timer
+	if (ft == nil) != (lt == nil) {
+		t.Fatal("timer presence diverged")
+	}
+	if ft != nil && (!reflect.DeepEqual(ft.Events, lt.Events) || ft.Dropped != lt.Dropped) {
+		t.Fatalf("telemetry diverged: %d events (%d dropped) vs %d (%d dropped)",
+			len(ft.Events), ft.Dropped, len(lt.Events), lt.Dropped)
+	}
+}
+
+// TestPredecodeRunParity drives whole runs through Run — which uses the
+// hoisted steady-state loop, not Step — against legacy Run, comparing
+// final state: every kernel variant at 0-2 flash wait states, every
+// telemetry harness (mailbox events must commit at identical
+// retire-time cycles), budget cuts that land anywhere in a kernel run,
+// and a SysTick-preempted loop.
+func TestPredecodeRunParity(t *testing.T) {
 	for _, v := range kernels.Variants() {
 		t.Run(v.Name, func(t *testing.T) {
-			fast, legacy := bootPair(t, v.Harness)
-			finish(t, fast, legacy)
+			for ws := 0; ws <= 2; ws++ {
+				t.Run(fmt.Sprintf("ws=%d", ws), func(t *testing.T) {
+					fast, legacy := bootRunPair(t, v.Harness, ws, false)
+					finishRuns(t, fast, legacy, 3_000_000)
+					if !fast.Halted {
+						t.Fatalf("kernel %s never halted", v.Name)
+					}
+				})
+			}
 		})
 	}
+	t.Run("telemetry", func(t *testing.T) {
+		for _, v := range kernels.Variants() {
+			t.Run(v.Name, func(t *testing.T) {
+				for ws := 0; ws <= 2; ws++ {
+					fast, legacy := bootRunPair(t, v.TelemetryHarness, ws, true)
+					finishRuns(t, fast, legacy, 3_000_000)
+					if len(fast.Bus.Timer.Events) == 0 {
+						t.Fatalf("ws=%d: no telemetry events: the parity run was vacuous", ws)
+					}
+				}
+			})
+		}
+	})
+	t.Run("budget", func(t *testing.T) {
+		v := kernels.Variants()[0]
+		ref, _ := bootRunPair(t, v.Harness, 1, false)
+		if err := ref.Run(3_000_000); err != nil {
+			t.Fatalf("reference run: %v", err)
+		}
+		total := ref.Instructions
+		for _, k := range []uint64{0, 1, 2, 3, 5, 8, 13, 21, 100, total / 3, total / 2, total - 1, total, total + 17} {
+			t.Run(fmt.Sprintf("budget=%d", k), func(t *testing.T) {
+				fast, legacy := bootRunPair(t, v.Harness, 1, false)
+				finishRuns(t, fast, legacy, k)
+			})
+		}
+	})
 	t.Run("systick", func(t *testing.T) {
 		fast := bootWithISR(t, countdownLoop, 97)
 		legacy := bootWithISR(t, countdownLoop, 97)
 		legacy.DisablePredecode = true
-		finish(t, fast, legacy)
+		finishRuns(t, fast, legacy, 3_000_000)
 		if fast.SysTick.Fires == 0 {
 			t.Fatal("SysTick never fired")
 		}
@@ -449,40 +515,10 @@ func benchRun(b *testing.B, disable bool) {
 	b.ReportMetric(mips, "MIPS")
 }
 
-// benchRunTranslated is benchRun on the superblock translation tier:
-// the same program, certified, with the hot loop lowered to a fused
-// self-loop superblock.
-func benchRunTranslated(b *testing.B) {
-	prog, c := certifySrc(b, benchProgram, false)
-	cpu := bootTier(b, prog, c, 0, "translated", false)
-	if err := cpu.Run(10_000_000); err != nil {
-		b.Fatal(err)
-	}
-	if !cpu.TranslationAttached() {
-		b.Fatal("translation table not attached")
-	}
-	instrPerRun := cpu.Instructions
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := cpu.Reset(); err != nil {
-			b.Fatal(err)
-		}
-		cpu.Cycles, cpu.Instructions = 0, 0
-		if err := cpu.Run(10_000_000); err != nil {
-			b.Fatal(err)
-		}
-		sink += cpu.Cycles
-	}
-	b.StopTimer()
-	mips := float64(instrPerRun) * float64(b.N) / b.Elapsed().Seconds() / 1e6
-	b.ReportMetric(mips, "MIPS")
-}
-
 // BenchmarkInference measures a whole emulated kernel run (reset to
-// BKPT) on all three tiers; the ratios of the MIPS figures are the
-// predecode and translation speedups.
+// BKPT) on both tiers; the ratio of the MIPS figures is the predecode
+// speedup.
 func BenchmarkInference(b *testing.B) {
-	b.Run("Translated", benchRunTranslated)
 	b.Run("Predecoded", func(b *testing.B) { benchRun(b, false) })
 	b.Run("Legacy", func(b *testing.B) { benchRun(b, true) })
 }

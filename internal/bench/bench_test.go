@@ -3,6 +3,8 @@ package bench
 import (
 	"strings"
 	"testing"
+
+	"github.com/neuro-c/neuroc/internal/device"
 )
 
 // quickRunner returns a Runner in quick mode for CI-sized experiment
@@ -276,6 +278,31 @@ func TestFarmBenchQuick(t *testing.T) {
 	if found < 2 {
 		t.Errorf("farm metrics recorded = %d, want >= 2", found)
 	}
+
+	// A farm record's instructions key is the per-inference count, the
+	// one a single device run of the same image retires.
+	t.Run("instructions", func(t *testing.T) {
+		o := r.runCandidate(r.Dataset("digits"), r.scalesFor("digits")[0])
+		dev, err := device.New(o.dep.Img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := dev.Run(o.dep.QModel.QuantizeInput(r.fullDataset("digits").TestX.Row(0)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range mf.Experiments {
+			if m.Kind != "farm" {
+				continue
+			}
+			if m.Instructions == 0 || m.Instructions != res.Instructions {
+				t.Errorf("%s: instructions %d, want %d (one device run)", m.Name, m.Instructions, res.Instructions)
+			}
+			if want := float64(m.Cycles) / float64(res.Instructions); m.CPI != want {
+				t.Errorf("%s: cpi %v, want %v", m.Name, m.CPI, want)
+			}
+		}
+	})
 }
 
 func TestDeviceAccuracyColumnCrossChecked(t *testing.T) {

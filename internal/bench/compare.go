@@ -132,7 +132,6 @@ func compareMetric(o, n *Metric, tolerance float64) []string {
 		banded("speedup", o.Speedup, n.Speedup)
 		banded("host_mips", o.HostMIPS, n.HostMIPS)
 		banded("predecode_build_ms", o.PredecodeBuildMS, n.PredecodeBuildMS)
-		banded("translate_build_ms", o.TranslateBuildMS, n.TranslateBuildMS)
 		banded("latency_wall_p50_ms", o.LatencyWallP50MS, n.LatencyWallP50MS)
 		banded("latency_wall_p95_ms", o.LatencyWallP95MS, n.LatencyWallP95MS)
 		banded("latency_wall_p99_ms", o.LatencyWallP99MS, n.LatencyWallP99MS)

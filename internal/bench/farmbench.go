@@ -94,10 +94,10 @@ func (r *Runner) FarmBench() *report.Table {
 			FlashBytes: o.bytes, RAMBytes: o.dep.Img.RAMBytes,
 			Workers: j, WallMS: wallMS, InfersPerSec: stats.Throughput(),
 			Speedup: speedup, Deployable: true,
+			Instructions:     meanInstructions(stats),
 			HostMIPS:         stats.HostMIPS(),
 			PredecodeBuildMS: float64(stats.PredecodeBuild.Microseconds()) / 1000,
 			Tier:             tierName(r.cfg.Tier),
-			TranslateBuildMS: float64(stats.TranslateBuild.Microseconds()) / 1000,
 		}
 		latencyDist(&m, stats)
 		r.record(m)
@@ -106,47 +106,20 @@ func (r *Runner) FarmBench() *report.Table {
 			stats.HostMIPS(), float64(stats.PredecodeBuild.Microseconds())/1000,
 			stats.P50Cycles, stats.P99Cycles)
 	}
-	// Tier comparison point: the same reference pool pinned to the
-	// predecoded tier. The accuracy and per-input cycles are identical
-	// by construction (exact-gated); only the host-MIPS figure moves,
-	// which is the translated tier's speedup in the metrics trajectory.
-	o.dep.Workers = 4
-	o.dep.Tier = device.TierPredecoded
-	if c != nil {
-		c.StartBatch(full.TestX.Rows, 4, string(device.TierPredecoded))
-	}
-	acc, stats, err := o.dep.DeviceAccuracyChecked(full, 0)
-	if err != nil {
-		panic(fmt.Sprintf("bench: farm predecoded-tier evaluation: %v", err))
-	}
-	if acc != hostAcc {
-		panic(fmt.Sprintf("bench: predecoded-tier accuracy %.4f diverges from host reference %.4f", acc, hostAcc))
-	}
-	predWallMS := float64(stats.Wall.Microseconds()) / 1000
-	predSpeedup := 1.0
-	if predWallMS > 0 {
-		predSpeedup = baseWallMS / predWallMS
-	}
-	pm := Metric{
-		Name: "farm-digits-j4-predecoded", Kind: "farm",
-		Cycles: stats.MeanCycles, LatencyMS: stats.LatencyMS(),
-		Accuracy: acc, AccuracyFloat: o.floatAcc,
-		AccuracyDevice: acc, DeviceAccuracyN: stats.Items,
-		FlashBytes: o.bytes, RAMBytes: o.dep.Img.RAMBytes,
-		Workers: 4, WallMS: predWallMS,
-		InfersPerSec: stats.Throughput(), Speedup: predSpeedup, Deployable: true,
-		HostMIPS:         stats.HostMIPS(),
-		PredecodeBuildMS: float64(stats.PredecodeBuild.Microseconds()) / 1000,
-		Tier:             string(device.TierPredecoded),
-	}
-	latencyDist(&pm, stats)
-	r.record(pm)
-	r.logf("farm -j 4 (predecoded tier): acc %.4f, %.0f host MIPS", acc, stats.HostMIPS())
 	o.dep.Workers = r.cfg.Workers
-	o.dep.Tier = r.cfg.Tier
 	r.buildFarmTimeline(o, full)
 	t.Note = "identical accuracy and per-input cycles at every pool size (bit-deterministic); speedup is host wall-clock only"
 	return t
+}
+
+// meanInstructions is the mean retired instruction count per
+// successful inference of a farm batch (zero when none succeeded), the
+// per-inference figure a record's cycles and cpi keys pair with.
+func meanInstructions(s *farm.Stats) uint64 {
+	if ok := s.Items - s.Failed; ok > 0 {
+		return s.Instructions / uint64(ok)
+	}
+	return 0
 }
 
 // buildFarmTimeline records the run timeline the farm experiment

@@ -85,12 +85,9 @@ type Metric struct {
 	PredecodeBuildMS float64 `json:"predecode_build_ms,omitempty"`
 
 	// Tier is the execution tier the record ran on ("auto", "legacy",
-	// "predecoded", "translated"); exact-gated, so a silent tier change
-	// fails metricscheck -compare. TranslateBuildMS is the one-time host
-	// cost of building the superblock translation table (wall-clock,
-	// band-gated like predecode_build_ms).
-	Tier             string  `json:"tier,omitempty"`
-	TranslateBuildMS float64 `json:"translate_build_ms,omitempty"`
+	// "predecoded"); exact-gated, so a silent tier change fails
+	// metricscheck -compare.
+	Tier string `json:"tier,omitempty"`
 
 	// Layers is the per-layer cycle attribution measured on-device by
 	// the telemetry marker pipeline (internal/telemetry), corrected for
@@ -229,7 +226,7 @@ func ValidateMetricsJSON(data []byte) error {
 			}
 		}
 		// Optional observability keys must be numbers when present.
-		for _, k := range []string{"host_mips", "predecode_build_ms", "translate_build_ms"} {
+		for _, k := range []string{"host_mips", "predecode_build_ms"} {
 			raw, ok := e[k]
 			if !ok {
 				continue

@@ -9,8 +9,8 @@
 // edges, the exact cycle cost of the block as a closed form in the
 // flash wait-state setting, the memory-region classification of every
 // load and store, loop iteration bounds, and the whole-image stack and
-// WCET bounds. Downstream consumers (the planned JIT tier, the checked
-// execution mode) never re-derive these facts; they only evaluate
+// WCET bounds. Downstream consumers (the checked execution mode, the
+// exact WCET engine) never re-derive these facts; they only evaluate
 // them. The format is append-only versioned: consumers must reject a
 // certificate whose Version string they do not know.
 package cert
@@ -42,11 +42,6 @@ func (f Formula) Eval(ws uint64) uint64 { return f.Base + f.WS*ws }
 
 // Add returns the sum of two formulas.
 func (f Formula) Add(g Formula) Formula { return Formula{Base: f.Base + g.Base, WS: f.WS + g.WS} }
-
-// Mul scales a formula by an execution count: n back-to-back retires
-// cost n·Base + n·WS·ws. This is how superblock translation prices a
-// certified loop body per proven iteration.
-func (f Formula) Mul(n uint64) Formula { return Formula{Base: f.Base * n, WS: f.WS * n} }
 
 // NotTakenCost sums the member instructions' formulas with a
 // conditional terminator at its not-taken cost — the closed form the

@@ -99,12 +99,11 @@ func CyclesToMS(cycles uint64) float64 {
 }
 
 // Tier selects the execution tier for a device's runs. The zero value
-// picks the fastest path available: superblock translation when the
-// image's certificate produced a table, the predecoded interpreter
-// otherwise, with the emulator's own mid-run fallback rules
-// (docs/EMULATOR.md, "Execution tiers") applying throughout. The
-// explicit tiers pin a run to one engine — for differential testing,
-// benchmarking a specific tier, or reproducing legacy numbers.
+// picks the fastest path available: the predecoded interpreter, or the
+// tracing interpreter for traced and checked runs (docs/EMULATOR.md,
+// "Execution tiers"). The explicit tiers pin a run to one engine — for
+// differential testing, benchmarking a specific tier, or reproducing
+// legacy numbers.
 type Tier string
 
 // Execution tiers, slowest to fastest.
@@ -112,18 +111,17 @@ const (
 	TierAuto       Tier = ""
 	TierLegacy     Tier = "legacy"
 	TierPredecoded Tier = "predecoded"
-	TierTranslated Tier = "translated"
 )
 
 // ParseTier validates a tier name from a CLI flag or config file.
 func ParseTier(s string) (Tier, error) {
 	switch t := Tier(s); t {
-	case TierAuto, TierLegacy, TierPredecoded, TierTranslated:
+	case TierAuto, TierLegacy, TierPredecoded:
 		return t, nil
 	case "auto":
 		return TierAuto, nil
 	}
-	return "", fmt.Errorf("device: unknown tier %q (want auto, legacy, predecoded, or translated)", s)
+	return "", fmt.Errorf("device: unknown tier %q (want auto, legacy, or predecoded)", s)
 }
 
 // Device is a booted board holding a loaded image.
@@ -132,11 +130,7 @@ type Device struct {
 	Img *modelimg.Image
 
 	// Tier pins the execution tier for every Run; TierAuto (the zero
-	// value) uses the fastest path available. TierTranslated fails the
-	// run when the image carries no certificate or the certificate
-	// produced no translation table, and when combined with tracing or
-	// checked execution (those retire through the tracing interpreter,
-	// which would silently be a different tier).
+	// value) uses the fastest path available.
 	Tier Tier
 
 	// Budget overrides the per-inference instruction budget when
@@ -184,9 +178,7 @@ func New(img *modelimg.Image) (*Device, error) {
 	if err := cpu.Bus.LoadFlash(0, img.Prog.Code); err != nil {
 		return nil, fmt.Errorf("device: %w", err)
 	}
-	if tt := cert.Translate(img.Cert, cpu.PredecodeNow()); tt != nil {
-		cpu.UseTranslation(tt)
-	}
+	cpu.PredecodeNow()
 	d := &Device{CPU: cpu, Img: img, checks: &compiledCert{}}
 	d.attachTimer()
 	return d, nil
@@ -241,47 +233,35 @@ type FlashImage struct {
 	Flash []byte
 	Table *armv6m.PredecodeTable
 
-	// Trans is the superblock translation table built from the image's
-	// certificate, nil when the image has none (or nothing translated).
-	// Like Table it is immutable and shared by every board.
-	Trans *armv6m.TranslationTable
-
-	// TransBuild is the one-time host cost of building Trans, the
-	// translated-tier analogue of Table.BuildTime().
+	// TransBuild is always zero.
+	//
+	// Deprecated: it timed an execution tier that no longer exists, and
+	// stays only while perfbench still reads it.
 	TransBuild time.Duration
 
 	checks compiledCert // compiled on the first checked run of any board
 }
 
-// NewFlashImage builds the shared flash array, predecodes the image
-// text once, and — when the image carries a certificate — builds the
-// shared superblock translation table.
+// NewFlashImage builds the shared flash array and predecodes the image
+// text once.
 func NewFlashImage(img *modelimg.Image) (*FlashImage, error) {
 	flash, err := SharedFlash(img)
 	if err != nil {
 		return nil, err
 	}
-	table := armv6m.Predecode(flash, len(img.Prog.Code))
-	start := time.Now()
-	trans := cert.Translate(img.Cert, table)
 	return &FlashImage{
-		Img:        img,
-		Flash:      flash,
-		Table:      table,
-		Trans:      trans,
-		TransBuild: time.Since(start),
+		Img:   img,
+		Flash: flash,
+		Table: armv6m.Predecode(flash, len(img.Prog.Code)),
 	}, nil
 }
 
 // NewBoard boots a fresh board on the shared flash and attaches the
-// shared predecode, translation, and compiled-certificate tables.
+// shared predecode and compiled-certificate tables.
 func (f *FlashImage) NewBoard() *Device {
 	d := NewOnFlash(f.Img, f.Flash)
 	d.checks = &f.checks
 	d.CPU.UsePredecode(f.Table)
-	if f.Trans != nil {
-		d.CPU.UseTranslation(f.Trans)
-	}
 	return d
 }
 
@@ -316,26 +296,10 @@ func (d *Device) run(input []int8, trace *armv6m.Trace) (*Result, error) {
 	// before touching the core, so a refused run leaves the board
 	// exactly as it was.
 	switch d.Tier {
-	case TierAuto:
+	case TierAuto, TierPredecoded:
 		d.CPU.DisablePredecode = false
-		d.CPU.DisableTranslation = false
 	case TierLegacy:
 		d.CPU.DisablePredecode = true
-	case TierPredecoded:
-		d.CPU.DisablePredecode = false
-		d.CPU.DisableTranslation = true
-	case TierTranslated:
-		if d.Img.Cert == nil {
-			return nil, fmt.Errorf("device: translated tier requires an image certificate")
-		}
-		if !d.CPU.TranslationAttached() {
-			return nil, fmt.Errorf("device: image certificate produced no translation table")
-		}
-		if d.Checked || trace != nil {
-			return nil, fmt.Errorf("device: translated tier cannot run traced or checked (those retire through the tracing interpreter); use TierAuto")
-		}
-		d.CPU.DisablePredecode = false
-		d.CPU.DisableTranslation = false
 	default:
 		return nil, fmt.Errorf("device: unknown tier %q", string(d.Tier))
 	}

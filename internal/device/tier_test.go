@@ -104,21 +104,10 @@ func TestCheckedWithoutCertLeavesBoardUntouched(t *testing.T) {
 	if !reflect.DeepEqual(before, after) {
 		t.Errorf("failed checked run mutated the board:\nbefore: %+v\nafter:  %+v", before, after)
 	}
-	// Same guarantee for an explicitly requested translated tier on a
-	// certificate-less image.
-	dev.Checked = false
-	dev.Tier = device.TierTranslated
-	if _, err := dev.Run([]int8{10, 3, -5, 20}); err == nil {
-		t.Fatal("translated tier on a certificate-less image did not error")
-	}
-	if after2 := snapshot(dev.CPU); !reflect.DeepEqual(before, after2) {
-		t.Error("refused translated-tier run mutated the board")
-	}
 }
 
 // TestTierParityAndSelection runs the same inference on every explicit
-// tier and requires identical outputs, cycles, instructions, and bus
-// counters; it also pins the translated tier's rejection rules.
+// tier and requires identical outputs, cycles, and instructions.
 func TestTierParityAndSelection(t *testing.T) {
 	img, err := modelimg.Build(tinyModel(), modelimg.UseBlock)
 	if err != nil {
@@ -127,13 +116,10 @@ func TestTierParityAndSelection(t *testing.T) {
 	in := []int8{10, 3, -5, 20}
 
 	results := map[device.Tier]*device.Result{}
-	for _, tier := range []device.Tier{device.TierLegacy, device.TierPredecoded, device.TierTranslated, device.TierAuto} {
+	for _, tier := range []device.Tier{device.TierLegacy, device.TierPredecoded, device.TierAuto} {
 		dev, err := device.New(img)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if tier == device.TierTranslated && !dev.CPU.TranslationAttached() {
-			t.Fatal("model image certificate produced no translation table")
 		}
 		dev.Tier = tier
 		res, err := dev.Run(in)
@@ -152,27 +138,11 @@ func TestTierParityAndSelection(t *testing.T) {
 				tier, res.Cycles, res.Instructions, ref.Cycles, ref.Instructions)
 		}
 	}
-
-	// Meaningless combinations are rejected rather than silently run on
-	// a different tier.
-	dev, _ := device.New(img)
-	dev.Tier = device.TierTranslated
-	dev.Checked = true
-	if _, err := dev.Run(in); err == nil || !strings.Contains(err.Error(), "translated tier") {
-		t.Errorf("translated+checked: want rejection, got %v", err)
-	}
-	dev.Checked = false
-	if _, err := dev.RunProfiled(in); err == nil || !strings.Contains(err.Error(), "translated tier") {
-		t.Errorf("translated+profiled: want rejection, got %v", err)
-	}
-	if _, err := dev.Run(in); err != nil {
-		t.Errorf("translated tier after rejected combos: %v", err)
-	}
 }
 
-// TestSharedTranslationTable pins that FlashImage boards share one
-// translation table and still agree with a privately translated board.
-func TestSharedTranslationTable(t *testing.T) {
+// TestSharedFlashImageBoards pins that boards sharing one FlashImage
+// agree with each other and with a privately loaded board.
+func TestSharedFlashImageBoards(t *testing.T) {
 	img, err := modelimg.Build(tinyModel(), modelimg.UseBlock)
 	if err != nil {
 		t.Fatal(err)
@@ -181,12 +151,8 @@ func TestSharedTranslationTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fi.Trans == nil {
-		t.Fatal("FlashImage built no translation table for a certified image")
-	}
 	in := []int8{10, 3, -5, 20}
 	b1, b2 := fi.NewBoard(), fi.NewBoard()
-	b1.Tier, b2.Tier = device.TierTranslated, device.TierTranslated
 	r1, err := b1.Run(in)
 	if err != nil {
 		t.Fatal(err)
@@ -199,7 +165,6 @@ func TestSharedTranslationTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	priv.Tier = device.TierTranslated
 	r3, err := priv.Run(in)
 	if err != nil {
 		t.Fatal(err)
@@ -212,12 +177,17 @@ func TestSharedTranslationTable(t *testing.T) {
 }
 
 func TestParseTier(t *testing.T) {
-	for _, s := range []string{"", "auto", "legacy", "predecoded", "translated"} {
+	for _, s := range []string{"", "auto", "legacy", "predecoded"} {
 		if _, err := device.ParseTier(s); err != nil {
 			t.Errorf("ParseTier(%q): %v", s, err)
 		}
 	}
-	if _, err := device.ParseTier("jit"); err == nil {
-		t.Error("ParseTier accepted an unknown tier")
+	// "translated" named a tier that no longer exists: it is rejected
+	// like any unknown name, with the valid tiers listed.
+	for _, s := range []string{"jit", "translated"} {
+		_, err := device.ParseTier(s)
+		if err == nil || !strings.Contains(err.Error(), "want auto, legacy, or predecoded") {
+			t.Errorf("ParseTier(%q): got %v, want an error listing the valid tiers", s, err)
+		}
 	}
 }

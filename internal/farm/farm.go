@@ -55,9 +55,8 @@ type Options struct {
 
 	// Tier pins the execution tier on every board (device.Device.Tier).
 	// The zero value (TierAuto) keeps the fastest available tier; an
-	// explicit tier that cannot be honored — TierTranslated without a
-	// certificate, or combined with Checked — fails the whole Map up
-	// front rather than per item, since no input could ever succeed.
+	// unknown tier fails the whole Map up front rather than per item,
+	// since no input could ever succeed.
 	Tier device.Tier
 
 	// Observe, when non-nil, is called once per completed item, from
@@ -137,9 +136,10 @@ type Stats struct {
 	// into the execution table shared by every worker.
 	PredecodeBuild time.Duration
 
-	// TranslateBuild is the one-time host cost of building the shared
-	// superblock translation table from the image's certificate (zero
-	// when the image carries none).
+	// TranslateBuild is always zero.
+	//
+	// Deprecated: it timed an execution tier that no longer exists, and
+	// stays only while perfbench still reads it.
 	TranslateBuild time.Duration
 
 	// CycleHist and WallHist are the per-inference latency
@@ -204,16 +204,6 @@ func Map(img *modelimg.Image, inputs [][]int8, opts Options) ([]Result, *Stats, 
 	if _, err := device.ParseTier(string(opts.Tier)); err != nil {
 		return nil, nil, fmt.Errorf("farm: %w", err)
 	}
-	if opts.Tier == device.TierTranslated {
-		// No input could succeed under an unhonorable tier request, so
-		// fail the whole batch before spawning workers.
-		if opts.Checked {
-			return nil, nil, fmt.Errorf("farm: translated tier cannot run checked")
-		}
-		if fi.Trans == nil {
-			return nil, nil, fmt.Errorf("farm: translated tier requires an image certificate that translates")
-		}
-	}
 	start := time.Now()
 	results := make([]Result, len(inputs))
 	// Per-worker histograms: each worker records its own items without
@@ -275,7 +265,6 @@ func Map(img *modelimg.Image, inputs [][]int8, opts Options) ([]Result, *Stats, 
 	stats := &Stats{
 		Items: len(inputs), Workers: workers, Wall: time.Since(start),
 		PredecodeBuild:  fi.Table.BuildTime(),
-		TranslateBuild:  fi.TransBuild,
 		CycleHist:       &obs.Hist{},
 		WallHist:        &obs.Hist{},
 		ObserveOverhead: time.Duration(observeNS.Load()),

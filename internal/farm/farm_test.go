@@ -18,38 +18,41 @@ import (
 	"github.com/neuro-c/neuroc/internal/thumb"
 )
 
+// ternaryLayer draws a seeded per-neuron ternary layer whose
+// connections are present with probability density.
+func ternaryLayer(r *rng.RNG, in, out int, density float64, relu bool) *quant.Layer {
+	a := encoding.NewMatrix(in, out)
+	for o := 0; o < out; o++ {
+		for i := 0; i < in; i++ {
+			if r.Bool(density) {
+				if r.Bool(0.5) {
+					a.Set(o, i, 1)
+				} else {
+					a.Set(o, i, -1)
+				}
+			}
+		}
+	}
+	l := &quant.Layer{
+		Kind: quant.Ternary, In: in, Out: out, A: a,
+		PerNeuron: true, ReLU: relu,
+		PreShift: 0, PostShift: 7,
+		Bias:  make([]int32, out),
+		Mults: make([]int32, out),
+	}
+	for o := 0; o < out; o++ {
+		l.Mults[o] = int32(r.Intn(100)) + 60
+		l.Bias[o] = int32(r.Intn(21)) - 10
+	}
+	return l
+}
+
 // testImage builds a small two-layer ternary model image.
 func testImage(t testing.TB) *modelimg.Image {
 	t.Helper()
 	r := rng.New(42)
-	mkLayer := func(in, out int, relu bool) *quant.Layer {
-		a := encoding.NewMatrix(in, out)
-		for o := 0; o < out; o++ {
-			for i := 0; i < in; i++ {
-				if r.Bool(0.2) {
-					if r.Bool(0.5) {
-						a.Set(o, i, 1)
-					} else {
-						a.Set(o, i, -1)
-					}
-				}
-			}
-		}
-		l := &quant.Layer{
-			Kind: quant.Ternary, In: in, Out: out, A: a,
-			PerNeuron: true, ReLU: relu,
-			PreShift: 0, PostShift: 7,
-			Bias:  make([]int32, out),
-			Mults: make([]int32, out),
-		}
-		for o := 0; o < out; o++ {
-			l.Mults[o] = int32(r.Intn(100)) + 60
-			l.Bias[o] = int32(r.Intn(21)) - 10
-		}
-		return l
-	}
 	m := &quant.Model{
-		Layers:     []*quant.Layer{mkLayer(32, 24, true), mkLayer(24, 10, false)},
+		Layers:     []*quant.Layer{ternaryLayer(r, 32, 24, 0.2, true), ternaryLayer(r, 24, 10, 0.2, false)},
 		InputScale: 127,
 	}
 	img, err := modelimg.Build(m, modelimg.UseBlock)
@@ -209,27 +212,44 @@ func TestSharedPredecodeTableRace(t *testing.T) {
 }
 
 // BenchmarkFarmMap measures batch throughput through the full farm
-// path — shared predecode table, worker pool, per-input core reset —
-// and reports the aggregate emulation rate in emulated MIPS.
+// path — shared predecode table, worker pool, per-input core reset — on
+// one seeded MNIST-sized model (784 -> 128 -> 48 -> 10) in each
+// encoding, on a single worker, and reports the emulation rate in
+// emulated MIPS and host ns per inference.
 func BenchmarkFarmMap(b *testing.B) {
-	img := testImage(b)
-	inputs := testInputs(256, img.InDim)
-	var instructions uint64
-	var wall time.Duration
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, stats, err := farm.Map(img, inputs, farm.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		instructions += stats.Instructions
-		wall += stats.Wall
+	r := rng.New(3)
+	m := &quant.Model{InputScale: 127, Layers: []*quant.Layer{
+		ternaryLayer(r, 784, 128, 0.1, true),
+		ternaryLayer(r, 128, 48, 0.2, true),
+		ternaryLayer(r, 48, 10, 0.3, false),
+	}}
+	inputs := testInputs(32, 784)
+	for _, enc := range []modelimg.EncodingChoice{
+		modelimg.UseBlock, modelimg.UseCSC, modelimg.UseDelta, modelimg.UseMixed, modelimg.UseUnrolled,
+	} {
+		b.Run(enc.String(), func(b *testing.B) {
+			img, err := modelimg.Build(m, enc)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var instructions uint64
+			var wall time.Duration
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_, stats, err := farm.Map(img, inputs, farm.Options{Workers: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				instructions += stats.Instructions
+				wall += stats.Wall
+			}
+			b.StopTimer()
+			if wall > 0 {
+				b.ReportMetric(float64(instructions)/wall.Seconds()/1e6, "MIPS")
+				b.ReportMetric(float64(wall.Nanoseconds())/float64(len(inputs)*b.N), "ns/inference")
+			}
+		})
 	}
-	b.StopTimer()
-	if wall > 0 {
-		b.ReportMetric(float64(instructions)/wall.Seconds()/1e6, "MIPS")
-	}
-	b.ReportMetric(float64(len(inputs)*b.N)/b.Elapsed().Seconds(), "inf/s")
 }
 
 // spinImage hand-assembles an image that never reaches BKPT, for
@@ -406,8 +426,8 @@ func TestSharedFlashRejectsOversizedImage(t *testing.T) {
 
 // TestTierParityAcrossFarm pins that an explicit execution tier changes
 // only host speed: outputs, cycles, and instruction counts per input are
-// bit-identical across legacy, predecoded, and translated farms, and an
-// unhonorable tier request fails the whole batch up front.
+// bit-identical across legacy and predecoded farms, and an unknown tier
+// fails the whole batch up front.
 func TestTierParityAcrossFarm(t *testing.T) {
 	img := testImage(t)
 	inputs := testInputs(20, img.InDim)
@@ -416,7 +436,7 @@ func TestTierParityAcrossFarm(t *testing.T) {
 	if err != nil {
 		t.Fatalf("legacy farm: %v", err)
 	}
-	for _, tier := range []device.Tier{device.TierPredecoded, device.TierTranslated, device.TierAuto} {
+	for _, tier := range []device.Tier{device.TierPredecoded, device.TierAuto} {
 		got, _, err := farm.Map(img, inputs, farm.Options{Workers: 4, Tier: tier})
 		if err != nil {
 			t.Fatalf("tier %q farm: %v", tier, err)
@@ -429,14 +449,6 @@ func TestTierParityAcrossFarm(t *testing.T) {
 		}
 	}
 
-	if _, _, err := farm.Map(img, inputs, farm.Options{Tier: device.TierTranslated, Checked: true}); err == nil {
-		t.Error("translated+checked farm did not fail up front")
-	}
-	stripped := *img
-	stripped.Cert = nil
-	if _, _, err := farm.Map(&stripped, inputs, farm.Options{Tier: device.TierTranslated}); err == nil {
-		t.Error("translated farm on a certificate-less image did not fail up front")
-	}
 	if _, _, err := farm.Map(img, inputs, farm.Options{Tier: device.Tier("jit")}); err == nil {
 		t.Error("unknown tier did not fail up front")
 	}

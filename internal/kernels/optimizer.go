@@ -27,7 +27,7 @@ import (
 // legally expose (AAPCS: callee-saved regs and memory; flags are dead at
 // the return) and never slower; FuzzOptimizerParity pins bit-for-bit
 // output equality and cycle parity (optimized <= unoptimized) across
-// all three execution tiers.
+// both execution tiers.
 
 // asmLine is one parsed line of kernel text.
 type asmLine struct {

@@ -14,7 +14,7 @@ import (
 // Optimizer parity: for random weight matrices, unroll factors, and
 // SRAM inputs, the optimized unrolled kernel must produce bit-for-bit
 // the accumulators of the unoptimized one, never cost more cycles, keep
-// exact cycle parity across all three execution tiers at every
+// exact cycle parity across both execution tiers at every
 // wait-state setting, and still certify Exact under the strict checker.
 // `go test` runs the seed corpus; `go test -fuzz=FuzzOptimizerParity`
 // explores further.
@@ -82,18 +82,7 @@ func (pk *parityKernel) run(t *testing.T, tier string, ws, out int, inputs []int
 		t.Fatal(err)
 	}
 	cpu.Bus.FlashWaitStates = ws
-	switch tier {
-	case "legacy":
-		cpu.DisablePredecode = true
-	case "predecoded":
-		cpu.DisableTranslation = true
-	case "translated":
-		tt := cert.Translate(pk.cert, cpu.PredecodeNow())
-		if tt == nil {
-			t.Fatal("certificate yielded no translation table")
-		}
-		cpu.UseTranslation(tt)
-	}
+	cpu.DisablePredecode = tier == "legacy"
 	for i, v := range inputs {
 		if err := cpu.Bus.Write8(uint32(selfIn+i), uint32(uint8(v))); err != nil {
 			t.Fatal(err)
@@ -120,7 +109,7 @@ func (pk *parityKernel) run(t *testing.T, tier string, ws, out int, inputs []int
 	return acc, cpu.Cycles
 }
 
-var parityTiers = []string{"legacy", "predecoded", "translated"}
+var parityTiers = []string{"legacy", "predecoded"}
 
 // checkOptimizerParity drives one (matrix, factor, inputs) case.
 func checkOptimizerParity(t *testing.T, m *encoding.Matrix, factor int, inputs []int8) {

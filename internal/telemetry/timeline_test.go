@@ -92,11 +92,10 @@ func TestTimelineWorkerByteIdentical(t *testing.T) {
 
 // TestTimelineTierByteIdentical: every execution tier retires the same
 // architectural cycles, so the cycle-domain document is byte-identical
-// on the legacy interpreter, the predecoded interpreter, and the
-// certificate-translated tier.
+// on the legacy and the predecoded interpreter.
 func TestTimelineTierByteIdentical(t *testing.T) {
 	base := timelineFixture(t, 4, device.TierAuto)
-	for _, tier := range []device.Tier{device.TierLegacy, device.TierPredecoded, device.TierTranslated} {
+	for _, tier := range []device.Tier{device.TierLegacy, device.TierPredecoded} {
 		if got := timelineFixture(t, 4, tier); !bytes.Equal(got, base) {
 			t.Fatalf("tier %s timeline differs from auto (%d vs %d bytes)", tier, len(got), len(base))
 		}

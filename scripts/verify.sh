@@ -47,19 +47,17 @@ go run ./cmd/asmcheck -kernels -cert > /dev/null
 echo "== checked execution (certificates validated at retire time, both interpreters)"
 go test -run 'TestVariantCertExactness|TestModelChecked' -count=1 ./internal/cert/
 
-echo "== translation parity (superblock tier bit-identical to both interpreters)"
-# Every kernel variant at ws 0-2 on legacy/predecoded/translated, plus
-# telemetry parity, budget lockstep, holed-certificate and stale-table
-# fallback, device/farm tier selection, and the fuzz seeds (the full
-# corpus replays in the plain `go test` stages above).
-go test -run 'TestTranslate|TestTier|FuzzTranslateParity' -count=1 \
+echo "== predecode parity (the fast path bit-identical to the legacy interpreter)"
+# Every kernel variant at ws 0-2 in lockstep and as whole runs,
+# telemetry harnesses, budget cuts, SysTick preemption, traced runs,
+# device/farm tier selection, and the fuzz corpus replayed.
+go test -run 'TestPredecode|TestTier|FuzzPredecodeParity' -count=1 \
 	./internal/armv6m/ ./internal/device/ ./internal/farm/
 
 echo "== optimizer parity (unrolled kernels: fuzz seeds + dense pins)"
 # The peephole-optimized unrolled kernels against their unoptimized
 # form: bit-for-bit accumulator equality, optimized <= unoptimized
-# cycles, exact cycle parity across all three execution tiers at ws
-# 0-2, and strict certification of both forms. `-run` replays the
+# cycles, exact cycle parity across both execution tiers at ws 0-2, and strict certification of both forms. `-run` replays the
 # checked-in fuzz seed corpus deterministically; `go test -fuzz
 # FuzzOptimizerParity ./internal/kernels/` explores further locally.
 go test -run 'FuzzOptimizerParity|TestOptimizerParityDense' -count=1 ./internal/kernels/
@@ -76,21 +74,13 @@ go run ./cmd/neuroc-bench -exp farm -quick -j 4 -encoding auto > /dev/null
 echo "== farm race-stress (shared-flash board farm under the race detector)"
 go test -race -count=1 ./internal/farm/...
 
-echo "== bench-regression smoke (all three execution tiers still wired up)"
-# One iteration of the Translated/Predecoded/Legacy benchmarks: proves
-# each tier is selected, runs, and stays in parity (the benchmark
-# bodies assert translation attachment and would fail on any execution
-# error). Real throughput comparisons need -benchtime 1s and an idle
-# host; this is a wiring gate, not a perf gate.
+echo "== bench-regression smoke (both execution tiers still wired up)"
+# One iteration of the Predecoded/Legacy benchmarks and of the
+# per-encoding farm benchmarks: proves each tier is selected and runs
+# (the benchmark bodies fail on any execution error). Real throughput
+# comparisons need -benchtime 1s and an idle host; this is a wiring
+# gate, not a perf gate.
 go test -run '^$' -bench 'Inference|FarmMap' -benchtime 1x ./internal/armv6m/ ./internal/farm/
-
-echo "== bench-smoke on the translated tier (explicit -tier plumbing end to end)"
-# The farm experiment pinned to -tier translated: exercises the tier
-# flag through neuroc-bench -> Config -> Deployment -> farm -> device,
-# and panics inside the run on any accuracy/cycle divergence from the
-# host reference. No metrics file: the tier key would differ from the
-# auto-tier baseline by construction.
-go run ./cmd/neuroc-bench -exp farm -quick -j 4 -tier translated > /dev/null
 
 echo "== bench-smoke (quick device-measured experiments + metrics JSON)"
 # table1/fig2/fig3/fig5/pareto are the training-free experiments: they
