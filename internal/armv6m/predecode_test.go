@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/neuro-c/neuroc/internal/armv6m"
+	"github.com/neuro-c/neuroc/internal/asmcheck"
 	"github.com/neuro-c/neuroc/internal/kernels"
 	"github.com/neuro-c/neuroc/internal/thumb"
 )
@@ -346,15 +347,41 @@ func finishRuns(t *testing.T, fast, legacy *armv6m.CPU, budget uint64) {
 	}
 }
 
-// TestPredecodeRunParity drives whole runs through Run — which uses the
-// hoisted steady-state loop, not Step — against legacy Run, comparing
-// final state: every kernel variant at 0-2 flash wait states, every
-// telemetry harness (mailbox events must commit at identical
-// retire-time cycles), budget cuts that land anywhere in a kernel run,
-// and a SysTick-preempted loop.
-func TestPredecodeRunParity(t *testing.T) {
+// certifyHarness requires src to certify under the strict kernel
+// configuration, with the telemetry peripheral window mapped when asked.
+func certifyHarness(t *testing.T, src string, telemetry bool) {
+	t.Helper()
+	prog, err := thumb.Assemble(src, codeBase)
+	if err != nil {
+		t.Fatalf("assemble: %v", err)
+	}
+	cfg := asmcheck.DefaultConfig()
+	cfg.Strict = true
+	cfg.StackBudget = 1024
+	if telemetry {
+		cfg.PeriphBase, cfg.PeriphSize = armv6m.TimerBase, armv6m.TimerSize
+	}
+	if desc, err := prog.Symbol("desc"); err == nil {
+		cfg.CodeLimit = desc
+	}
+	_, rep, err := asmcheck.Certify(prog, cfg)
+	if err != nil {
+		t.Fatalf("certify: %v", err)
+	}
+	if !rep.OK() {
+		t.Fatalf("violations: %v", rep.Violations)
+	}
+}
+
+// TestTranslateParityKernels runs every certified kernel variant to
+// completion through Run — the hoisted steady-state loop, not Step — on
+// the predecoded and the legacy path at 0-2 flash wait states and
+// requires bit-identical final state. The name dates from when a third,
+// translated tier was compared here too.
+func TestTranslateParityKernels(t *testing.T) {
 	for _, v := range kernels.Variants() {
 		t.Run(v.Name, func(t *testing.T) {
+			certifyHarness(t, v.Harness, false)
 			for ws := 0; ws <= 2; ws++ {
 				t.Run(fmt.Sprintf("ws=%d", ws), func(t *testing.T) {
 					fast, legacy := bootRunPair(t, v.Harness, ws, false)
@@ -366,19 +393,37 @@ func TestPredecodeRunParity(t *testing.T) {
 			}
 		})
 	}
-	t.Run("telemetry", func(t *testing.T) {
-		for _, v := range kernels.Variants() {
-			t.Run(v.Name, func(t *testing.T) {
-				for ws := 0; ws <= 2; ws++ {
-					fast, legacy := bootRunPair(t, v.TelemetryHarness, ws, true)
-					finishRuns(t, fast, legacy, 3_000_000)
-					if len(fast.Bus.Timer.Events) == 0 {
-						t.Fatalf("ws=%d: no telemetry events: the parity run was vacuous", ws)
-					}
+}
+
+// TestTranslateParityTelemetry repeats TestTranslateParityKernels over
+// the telemetry harnesses: mailbox events must commit at identical
+// retire-time cycle counts on both paths.
+func TestTranslateParityTelemetry(t *testing.T) {
+	for _, v := range kernels.Variants() {
+		t.Run(v.Name, func(t *testing.T) {
+			certifyHarness(t, v.TelemetryHarness, true)
+			for ws := 0; ws <= 2; ws++ {
+				fast, legacy := bootRunPair(t, v.TelemetryHarness, ws, true)
+				finishRuns(t, fast, legacy, 3_000_000)
+				if len(fast.Bus.Timer.Events) == 0 {
+					t.Fatalf("ws=%d: no telemetry events: the parity run was vacuous", ws)
 				}
-			})
-		}
-	})
+			}
+		})
+	}
+}
+
+// TestPredecodeRunParity drives whole runs through Run against legacy
+// Run, comparing final state: every kernel variant at the default wait
+// states, budget cuts that land anywhere in a kernel run, and a
+// SysTick-preempted loop.
+func TestPredecodeRunParity(t *testing.T) {
+	for _, v := range kernels.Variants() {
+		t.Run(v.Name, func(t *testing.T) {
+			fast, legacy := bootPair(t, v.Harness)
+			finishRuns(t, fast, legacy, 3_000_000)
+		})
+	}
 	t.Run("budget", func(t *testing.T) {
 		v := kernels.Variants()[0]
 		ref, _ := bootRunPair(t, v.Harness, 1, false)

@@ -51,7 +51,7 @@ echo "== predecode parity (the fast path bit-identical to the legacy interpreter
 # Every kernel variant at ws 0-2 in lockstep and as whole runs,
 # telemetry harnesses, budget cuts, SysTick preemption, traced runs,
 # device/farm tier selection, and the fuzz corpus replayed.
-go test -run 'TestPredecode|TestTier|FuzzPredecodeParity' -count=1 \
+go test -run 'TestPredecode|TestTranslateParity|TestTier|FuzzPredecodeParity' -count=1 \
 	./internal/armv6m/ ./internal/device/ ./internal/farm/
 
 echo "== optimizer parity (unrolled kernels: fuzz seeds + dense pins)"
