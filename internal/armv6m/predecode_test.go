@@ -405,6 +405,9 @@ func TestTranslateParityTelemetry(t *testing.T) {
 			for ws := 0; ws <= 2; ws++ {
 				fast, legacy := bootRunPair(t, v.TelemetryHarness, ws, true)
 				finishRuns(t, fast, legacy, 3_000_000)
+				if !fast.Halted {
+					t.Fatalf("ws=%d: telemetry harness %s never halted", ws, v.Name)
+				}
 				if len(fast.Bus.Timer.Events) == 0 {
 					t.Fatalf("ws=%d: no telemetry events: the parity run was vacuous", ws)
 				}
